@@ -50,12 +50,14 @@ from .spinors import (
     TranscendentDivision,
     amplitude,
     amplitude_from_spinor,
+    amplitudes,
     convert_representation,
     dirac_operator,
     helicity_spinor,
     normalization_factor,
     proportionality_defect,
     solution_residual,
+    wave_operator,
 )
 from .symmetries import (
     DiscreteKind,
@@ -69,7 +71,6 @@ from .symmetries import (
     lorentz_generator,
     pct_phase,
     pct_product,
-    run_symmetry_suite,
 )
 
 __version__ = "0.1.0"

@@ -1,13 +1,16 @@
 """Command line: inspect solutions, apply symmetries, emit dispersion tables.
 
-Exit codes: 0 success, 1 verification failure, 2 argument or domain error,
-3 I/O failure.  The environment variable PT_DIRAC_TOL overrides the default
-tolerance of 1e-12.  All randomized commands print the effective seed, so
-failures are replayable.
+Exit codes: 0 success, 1 verification failure (including a non-finite
+residual), 2 argument or domain error (including non-finite numbers, results
+out of floating-point range and tables too large to allocate), 3 I/O failure.
+The environment variable PT_DIRAC_TOL overrides the default tolerance of
+1e-12.  All randomized commands print the effective seed, so failures are
+replayable.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -42,6 +45,8 @@ DEFAULT_TOL = 1e-12
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 1000
 DEFAULT_PRECISION = 9
+# Most rows one dispersion table may have; checked before the table is built.
+MAX_STEPS = 10_000_000
 
 _SPECIES = {"bradyon": Species.BRADYON, "pt": Species.PSEUDOTACHYON,
             "pseudotachyon": Species.PSEUDOTACHYON, "luxon": Species.LUXON}
@@ -60,14 +65,21 @@ def _fmt_complex(z: complex, precision: int) -> str:
     return f"{re}{sign}{im}i"
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite value, got {text!r}")
+    return value
+
+
 def _three_floats(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated values, got {text!r}")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    x, y, z = (_finite_float(p) for p in parts)
     return (x, y, z)
 
 
@@ -79,7 +91,7 @@ def _precision(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"expected a positive value, got {text}")
     return value
@@ -105,7 +117,7 @@ def _add_spec_arguments(sub: argparse.ArgumentParser):
     sub.add_argument("--sign", default="+", choices=sorted(_SIGNS))
     sub.add_argument("--momentum", required=True, type=_three_floats,
                      metavar="PX,PY,PZ")
-    sub.add_argument("--mass", required=True, type=float)
+    sub.add_argument("--mass", required=True, type=_finite_float)
     sub.add_argument("--helicity", default="+1", choices=sorted(_SIGNS))
     sub.add_argument("--rep", default="standard", choices=sorted(_REPS))
 
@@ -129,10 +141,11 @@ def build_parser(default_tol: float = DEFAULT_TOL) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     disp = subs.add_parser("dispersion", help="emit the energy-speed table as CSV")
-    disp.add_argument("--mass", required=True, type=float)
-    disp.add_argument("--eps-min", type=float, default=0.0)
-    disp.add_argument("--eps-max", type=float, required=True)
-    disp.add_argument("--steps", type=int, required=True)
+    disp.add_argument("--mass", required=True, type=_finite_float)
+    disp.add_argument("--eps-min", type=_finite_float, default=0.0)
+    disp.add_argument("--eps-max", type=_finite_float, required=True)
+    disp.add_argument("--steps", type=int, required=True,
+                      help=f"number of rows, 2 to {MAX_STEPS}")
     disp.add_argument("--out", default="-", help="output path, '-' for stdout")
     disp.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
     disp.set_defaults(func=cmd_dispersion)
@@ -151,7 +164,7 @@ def build_parser(default_tol: float = DEFAULT_TOL) -> argparse.ArgumentParser:
     tr = subs.add_parser("transform", help="apply a discrete symmetry or a boost")
     _add_spec_arguments(tr)
     tr.add_argument("--op", required=True, choices=["P", "C", "T", "I", "boost"])
-    tr.add_argument("--rapidity", type=float, default=None)
+    tr.add_argument("--rapidity", type=_finite_float, default=None)
     tr.add_argument("--axis", type=_three_floats, default=(0.0, 0.0, 1.0),
                     metavar="NX,NY,NZ")
     tr.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
@@ -167,6 +180,8 @@ def build_parser(default_tol: float = DEFAULT_TOL) -> argparse.ArgumentParser:
 
 
 def cmd_dispersion(args) -> int:
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"steps must be at most {MAX_STEPS}, got {args.steps}")
     rows = dispersion_table(args.mass, args.eps_min, args.eps_max, args.steps)
     p = args.precision
     lines = ["epsilon,u_bradyon,v_pt,w_tachyon"]
@@ -192,8 +207,9 @@ def cmd_spinor(args) -> int:
     print("components " + " ".join(_fmt_complex(z, p) for z in w))
     print(f"norm {_fmt(norm, p)}")
     print(f"normalization {_fmt(n_factor, p)}")
-    print(f"residual {solution_residual(spec, w):.3e}")
-    return EXIT_OK
+    residual = solution_residual(spec, w)
+    print(f"residual {residual:.3e}")
+    return EXIT_OK if math.isfinite(residual) else EXIT_VERIFY_FAILED
 
 
 def cmd_expect(args) -> int:
@@ -242,6 +258,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OverflowError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

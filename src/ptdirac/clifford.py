@@ -27,6 +27,9 @@ PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
+# Index pairs (mu, nu), mu < nu, of the independent sigma_{mu nu}.
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
 _ID2 = np.eye(2, dtype=complex)
 _ZERO2 = np.zeros((2, 2), dtype=complex)
 
@@ -79,6 +82,39 @@ class GammaSet:
         """gamma_mu = g_{mu mu} gamma^mu (diagonal metric)."""
         return _frozen(METRIC[mu, mu] * self.gamma(mu))
 
+    # Stacked members for array-first contractions, built on first use.
+
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        """gamma^0..gamma^3 along the first axis, shape (4, 4, 4)."""
+        return _frozen(np.stack(self.gammas))
+
+    @functools.cached_property
+    def alpha_stack(self) -> np.ndarray:
+        """alpha^1..alpha^3 along the first axis, shape (3, 4, 4)."""
+        return _frozen(np.stack(self.alpha))
+
+    @functools.cached_property
+    def spin_stack(self) -> np.ndarray:
+        """Sigma^1..Sigma^3 along the first axis, shape (3, 4, 4)."""
+        return _frozen(np.stack(self.sigma_spin))
+
+    @functools.cached_property
+    def bilinear_stack(self) -> np.ndarray:
+        """gamma^0 gamma^mu then gamma^0 gamma^mu gamma^5, shape (8, 4, 4).
+
+        w^dag B w over these gives wbar gamma^mu w and wbar gamma^mu gamma^5 w;
+        the first four are 1, alpha^1, alpha^2, alpha^3.
+        """
+        g0 = self.gammas[0]
+        return _frozen(np.stack([g0 @ g for g in self.gammas]
+                                + [g0 @ g @ self.gamma5 for g in self.gammas]))
+
+    @functools.cached_property
+    def sigma_pairs(self) -> np.ndarray:
+        """The six sigma_{mu nu} with mu < nu, in the order of PAIRS, shape (6, 4, 4)."""
+        return _frozen(np.stack([sigma_tensor(self, mu, nu) for mu, nu in PAIRS]))
+
 
 @functools.lru_cache(maxsize=None)
 def gamma_set(rep: Representation) -> GammaSet:
@@ -104,16 +140,18 @@ def _four_components(p) -> np.ndarray:
     if hasattr(p, "as_array"):
         return p.as_array()
     arr = np.asarray(p, dtype=float)
-    if arr.shape != (4,):
+    if arr.shape[-1:] != (4,):
         raise ValueError(f"expected a four-vector, got shape {arr.shape}")
     return arr
 
 
 def slash(gs: GammaSet, p) -> np.ndarray:
-    """Contraction p_mu gamma^mu = e gamma^0 - p.gamma for p = (e; p)."""
-    e, px, py, pz = _four_components(p)
-    g = gs.gammas
-    return e * g[0] - px * g[1] - py * g[2] - pz * g[3]
+    """Contraction p_mu gamma^mu = e gamma^0 - p.gamma for p = (e; p).
+
+    ``p`` is a four-vector or an array whose last axis holds (e, px, py, pz);
+    the result has the leading axes of ``p`` followed by (4, 4).
+    """
+    return np.einsum("...u,uij->...ij", _four_components(p) * METRIC.diagonal(), gs.stack)
 
 
 def sigma_tensor(gs: GammaSet, mu: int, nu: int) -> np.ndarray:

@@ -69,8 +69,13 @@ class FourVector:
         return cls(float(e), float(px), float(py), float(pz))
 
 
-def minkowski_dot(a: FourVector, b: FourVector) -> float:
-    return a.e * b.e - a.px * b.px - a.py * b.py - a.pz * b.pz
+def minkowski_dot(a, b):
+    """a.b with metric (+, -, -, -) of two FourVectors, or row by row of two
+    arrays whose last axis holds (e, px, py, pz)."""
+    if isinstance(a, FourVector):
+        return a.e * b.e - a.px * b.px - a.py * b.py - a.pz * b.pz
+    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
 
 def energy_from_momentum(species: Species, k: float, m: float) -> float:
@@ -154,13 +159,35 @@ def speeds(epsilon: float, m: float) -> SpeedTriple:
 
 
 def _unit_axis(axis) -> np.ndarray:
+    """The axis (or the rows of an (..., 3) array of axes), checked to be unit."""
     n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
+    if n.shape[-1:] != (3,):
         raise ValueError("axis must be a 3-vector")
-    norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"axis must be a unit vector, |axis| = {norm}")
-    return n / norm
+    norm = np.sqrt(np.add.reduce(n * n, axis=-1))
+    unit = abs(norm - 1.0) <= 1e-9  # False for a NaN norm too
+    if not unit.all():
+        worst = np.ravel(norm)[np.argmin(np.ravel(unit))]
+        raise ValueError(f"axis must be a unit vector, |axis| = {worst}")
+    return n / norm[..., None]
+
+
+def _cosh_sinh(rapidity):
+    """cosh and sinh of one rapidity, raising OverflowError past |zeta| ~ 710,
+    or of an array of them."""
+    if np.ndim(rapidity) == 0:
+        return math.cosh(rapidity), math.sinh(rapidity)
+    return np.cosh(rapidity), np.sinh(rapidity)
+
+
+def _boost_arrays(p4: np.ndarray, n: np.ndarray, rapidity) -> np.ndarray:
+    """`boost` of four-vectors (..., 4) along unit axes (..., 3), row by row."""
+    ch, sh = _cosh_sinh(rapidity)
+    e, pv = p4[..., 0], p4[..., 1:]
+    p_par = np.add.reduce(pv * n, axis=-1)
+    perp = pv - p_par[..., None] * n
+    e2 = e * ch - p_par * sh
+    par2 = p_par * ch - e * sh
+    return np.concatenate([np.asarray(e2)[..., None], perp + par2[..., None] * n], axis=-1)
 
 
 def boost(p: FourVector, axis, rapidity: float) -> FourVector:
@@ -170,15 +197,7 @@ def boost(p: FourVector, axis, rapidity: float) -> FourVector:
     frame along +z gives p_z' = -m sinh(zeta).  Composition along one axis is
     additive in the rapidity.
     """
-    n = _unit_axis(axis)
-    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-    pv = p.spatial
-    p_par = float(pv @ n)
-    perp = pv - p_par * n
-    e2 = p.e * ch - p_par * sh
-    par2 = p_par * ch - p.e * sh
-    out = perp + par2 * n
-    return FourVector(e2, float(out[0]), float(out[1]), float(out[2]))
+    return FourVector.from_array(_boost_arrays(p.as_array(), _unit_axis(axis), rapidity))
 
 
 def boost_matrix(axis, rapidity: float) -> np.ndarray:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Representation, dagger, gamma_set
-from .kinematics import FourVector, Species, dual_momentum, minkowski_dot
-from .spinors import PlaneWaveSpec, amplitude
+from .clifford import Representation, gamma_set
+from .kinematics import FourVector, Species, minkowski_dot
+from .spinors import PlaneWaveSpec, amplitude, four_momenta
 
 
 class MasslessSpecies(ValueError):
@@ -41,7 +41,7 @@ class ExpectationReport:
     constraint_residuals: dict[str, float]
 
 
-def hamiltonian(species: Species, momentum, mass: float,
+def hamiltonian(species: Species, momentum, mass,
                 rep: Representation = Representation.STANDARD) -> np.ndarray:
     """Momentum-space hamiltonian alpha.p plus the species mass term.
 
@@ -49,90 +49,127 @@ def hamiltonian(species: Species, momentum, mass: float,
     tachyonic species; since (alpha^5)^2 = -1 that term is anti-hermitian and
     H is only gamma^5 pseudo-hermitian, g5 H g5 = H^dag, yet its spectrum
     +-sqrt(k^2 - m^2) is real on the physical shell |p| >= m.  In both cases
-    H^2 is the squared shell energy times the identity.
+    H^2 is the squared shell energy times the identity.  ``momentum`` may be
+    an (n, 3) array with ``mass`` (n,), giving one hamiltonian per row.
     """
     gs = gamma_set(rep)
-    p = np.asarray(momentum, dtype=float)
-    h = sum(p[i] * gs.alpha[i] for i in range(3))
-    if species is Species.BRADYON:
-        return h + mass * gs.gammas[0]
-    if species is Species.LUXON:
-        return h
-    return h + mass * gs.alpha5
+    h = np.einsum("...i,ijk->...jk", np.asarray(momentum, dtype=float), gs.alpha_stack)
+    term = gs.gammas[0] if species is Species.BRADYON else gs.alpha5
+    return h + np.asarray(mass, dtype=float)[..., None, None] * term
 
 
-def energy_eigencheck(spec: PlaneWaveSpec) -> float:
-    """Relative residual of H w = E w for the physical wave of the spec.
+def energy_eigencheck(spec, w=None):
+    """Relative residual of H w = E w for the physical wave of a spec.
 
     The inferior-sign wave e^{+ipx} carries physical momentum -p and energy
-    -eps, so v-amplitudes are checked against H(-p) v = -eps v.
+    -eps, so v-amplitudes are checked against H(-p) v = -eps v.  For a group,
+    ``w`` holds one amplitude per spec and the result one residual per spec.
     """
-    w = amplitude(spec)
-    p = spec.energy_sign * np.asarray(spec.momentum)
-    h = hamiltonian(spec.species, p, spec.mass, spec.rep)
-    target = spec.energy_sign * spec.epsilon
-    return float(np.linalg.norm(h @ w - target * w) / np.linalg.norm(w))
+    if w is None:
+        w = amplitude(spec)
+    sign = spec.energy_sign
+    h = hamiltonian(spec.species, sign * np.asarray(spec.momentum), spec.mass, spec.rep)
+    hw = np.einsum("...ij,...j->...i", h, w)
+    target = sign * np.asarray(spec.epsilon)[..., None]
+    return np.linalg.norm(hw - target * w, axis=-1) / np.linalg.norm(w, axis=-1)
+
+
+def bilinears(w: np.ndarray, rep: Representation) -> np.ndarray:
+    """Re(w^dag B w) over `GammaSet.bilinear_stack`, shape (..., 8).
+
+    Entries 0-3 are wbar gamma^mu w (entry 0 is w^dag w, entries 1-3 the
+    velocity numerators w^dag alpha w); entries 4-7 are wbar gamma^mu gamma^5 w.
+    """
+    return np.einsum("...i,bij,...j->...b", w.conj(), gamma_set(rep).bilinear_stack, w).real
+
+
+def _require_massive(spec):
+    if np.any(np.asarray(spec.mass) == 0.0):
+        raise MasslessSpecies("mean four-velocity/polarization divide by the mass")
 
 
 def mean_velocity(spec: PlaneWaveSpec) -> np.ndarray:
     """w^dag alpha w / (w^dag w), identical for both energy signs."""
-    gs = gamma_set(spec.rep)
-    w = amplitude(spec)
-    n2 = float(np.real(np.vdot(w, w)))
-    return np.array([float(np.real(np.vdot(w, gs.alpha[i] @ w))) for i in range(3)]) / n2
+    b = bilinears(amplitude(spec), spec.rep)
+    return b[1:4] / b[0]
 
 
-def _vector_bilinear(spec: PlaneWaveSpec, pseudo: bool) -> np.ndarray:
-    gs = gamma_set(spec.rep)
-    w = amplitude(spec)
-    wbar = dagger(w) @ gs.gammas[0]
-    out = np.empty(4)
-    for mu in range(4):
-        m = gs.gammas[mu] @ gs.gamma5 if pseudo else gs.gammas[mu]
-        out[mu] = float(np.real(wbar @ m @ w))
-    return out
-
-
-def _require_massive(spec: PlaneWaveSpec):
-    if spec.mass == 0.0:
-        raise MasslessSpecies("mean four-velocity/polarization divide by the mass")
+def mean_four_vectors(spec, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vbar, sbar) = (wbar gamma^mu w, wbar gamma^mu gamma^5 w) / 2m from the
+    `bilinears` b of a spec, or of each spec of a group."""
+    _require_massive(spec)
+    two_m = 2.0 * np.asarray(spec.mass)[..., None]
+    return b[..., 0:4] / two_m, b[..., 4:8] / two_m
 
 
 def mean_four_velocity(spec: PlaneWaveSpec) -> FourVector:
     """wbar gamma^mu w / (2m); equals p/m (bradyon) or dual(p)/m (pseudotachyon)."""
-    _require_massive(spec)
-    return FourVector.from_array(_vector_bilinear(spec, pseudo=False) / (2.0 * spec.mass))
+    return FourVector.from_array(mean_four_vectors(spec, bilinears(amplitude(spec), spec.rep))[0])
 
 
 def mean_spin_four_vector(spec: PlaneWaveSpec) -> FourVector:
     """wbar gamma^mu gamma^5 w / (2m); h dual(p)/m (bradyon) or h p/m (pseudotachyon)."""
-    _require_massive(spec)
-    return FourVector.from_array(_vector_bilinear(spec, pseudo=True) / (2.0 * spec.mass))
+    return FourVector.from_array(mean_four_vectors(spec, bilinears(amplitude(spec), spec.rep))[1])
 
 
-def mean_velocity_closed_form(spec: PlaneWaveSpec) -> np.ndarray:
-    """p/eps for bradyons, eps p / k^2 (the dual velocity) for tachyonic species."""
+def mean_velocity_closed_form(spec) -> np.ndarray:
+    """p/eps for bradyons, eps p / k^2 (the dual velocity) for tachyonic species;
+    of a spec or of each spec of a group."""
     p = np.asarray(spec.momentum)
+    eps = np.asarray(spec.epsilon)[..., None]
     if spec.species is Species.BRADYON:
-        return p / spec.epsilon
-    return spec.epsilon * p / spec.k**2
+        return p / eps
+    return eps * p / np.asarray(spec.k)[..., None] ** 2
+
+
+def four_vector_closed_forms(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (vbar, sbar) of a spec, shape (4,) each, or of a group, (n, 4).
+
+    vbar = p/m, sbar = h dual(p)/m for bradyons; vbar = dual(p)/m,
+    sbar = h p/m for pseudotachyons, with dual(p) = (k; eps p / k).
+    """
+    _require_massive(spec)
+    p4 = four_momenta(spec)
+    k = np.asarray(spec.k)[..., None]
+    dual = np.concatenate([k, (p4[..., :1] / k) * p4[..., 1:]], axis=-1)
+    m = np.asarray(spec.mass)[..., None]
+    h = spec.helicity_eigenvalue
+    if spec.species is Species.BRADYON:
+        return p4 / m, h * dual / m
+    return dual / m, h * p4 / m
 
 
 def mean_four_velocity_closed_form(spec: PlaneWaveSpec) -> FourVector:
-    _require_massive(spec)
-    p4 = spec.four_momentum
-    if spec.species is Species.BRADYON:
-        return FourVector.from_array(p4.as_array() / spec.mass)
-    return FourVector.from_array(dual_momentum(p4).as_array() / spec.mass)
+    return FourVector.from_array(four_vector_closed_forms(spec)[0])
 
 
 def mean_spin_four_vector_closed_form(spec: PlaneWaveSpec) -> FourVector:
-    _require_massive(spec)
-    h = spec.helicity_eigenvalue
-    p4 = spec.four_momentum
+    return FourVector.from_array(four_vector_closed_forms(spec)[1])
+
+
+_CONSTRAINT_NAMES = {
+    Species.BRADYON: ("p2_minus_m2", "p_dot_v_minus_m", "p_dot_s"),
+    Species.PSEUDOTACHYON: ("p2_plus_m2", "p_dot_v", "p_dot_s_plus_m_lambda"),
+}
+
+
+def constraint_values(spec, vbar: np.ndarray, sbar: np.ndarray) -> np.ndarray:
+    """The three constraint residuals (..., 3) of a spec or group, in the
+    order of its names in `constraint_residuals`."""
+    p4 = four_momenta(spec)
+    m = np.asarray(spec.mass)
+    p2 = minkowski_dot(p4, p4)
+    pv = minkowski_dot(p4, vbar)
+    ps = minkowski_dot(p4, sbar)
     if spec.species is Species.BRADYON:
-        return FourVector.from_array(h * dual_momentum(p4).as_array() / spec.mass)
-    return FourVector.from_array(h * p4.as_array() / spec.mass)
+        return np.stack([p2 - m * m, pv - m, ps], axis=-1)
+    return np.stack([p2 + m * m, pv, ps + m * spec.helicity_eigenvalue], axis=-1)
+
+
+def _residual_dict(spec, vbar, sbar) -> dict[str, float]:
+    names = _CONSTRAINT_NAMES[Species.BRADYON if spec.species is Species.BRADYON
+                              else Species.PSEUDOTACHYON]
+    return {name: float(r) for name, r in zip(names, constraint_values(spec, vbar, sbar))}
 
 
 def constraint_residuals(spec: PlaneWaveSpec) -> dict[str, float]:
@@ -142,33 +179,18 @@ def constraint_residuals(spec: PlaneWaveSpec) -> dict[str, float]:
     p^2 = -m^2, p.vbar = 0, p.sbar = -m h with h the helicity eigenvalue of
     the state.  All entries vanish identically for amplitudes produced here.
     """
-    _require_massive(spec)
-    p4 = spec.four_momentum
-    vbar = mean_four_velocity(spec)
-    sbar = mean_spin_four_vector(spec)
-    m = spec.mass
-    h = spec.helicity_eigenvalue
-    p2 = minkowski_dot(p4, p4)
-    pv = minkowski_dot(p4, vbar)
-    ps = minkowski_dot(p4, sbar)
-    if spec.species is Species.BRADYON:
-        return {
-            "p2_minus_m2": p2 - m * m,
-            "p_dot_v_minus_m": pv - m,
-            "p_dot_s": ps,
-        }
-    return {
-        "p2_plus_m2": p2 + m * m,
-        "p_dot_v": pv,
-        "p_dot_s_plus_m_lambda": ps + m * h,
-    }
+    return _residual_dict(spec, *mean_four_vectors(spec, bilinears(amplitude(spec), spec.rep)))
 
 
 def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:
-    v = mean_velocity(spec)
+    """Every expectation value of a massive spec, from one amplitude and one
+    contraction."""
+    b = bilinears(amplitude(spec), spec.rep)
+    vbar, sbar = mean_four_vectors(spec, b)
+    v = b[1:4] / b[0]
     return ExpectationReport(
         mean_velocity=(float(v[0]), float(v[1]), float(v[2])),
-        mean_four_velocity=mean_four_velocity(spec),
-        mean_spin_four_vector=mean_spin_four_vector(spec),
-        constraint_residuals=constraint_residuals(spec),
+        mean_four_velocity=FourVector.from_array(vbar),
+        mean_spin_four_vector=FourVector.from_array(sbar),
+        constraint_residuals=_residual_dict(spec, vbar, sbar),
     )

@@ -26,12 +26,42 @@ from typing import Optional
 
 import numpy as np
 
-from .clifford import PAULI, Representation, gamma_set, representation_change, slash
+from .clifford import PAULI, GammaSet, Representation, gamma_set, representation_change, slash
 from .kinematics import FourVector, Species, ZeroMomentum, energy_from_momentum
 
 
 class TranscendentDivision(ZeroDivisionError, ValueError):
     """The general-spinor parameterization divides by eps, singular at eps = 0."""
+
+
+def _helicity_spinors(n: np.ndarray, lam: int) -> np.ndarray:
+    """Helicity spinors (N, 2) of unit directions n (N, 3), all with label lam."""
+    z = np.clip(n[:, 2], -1.0, 1.0)
+    rho = np.hypot(n[:, 0], n[:, 1])
+    # recover the small half-angle factor from rho = 2 c s rather than from
+    # 1 -+ z, which rounds away near the poles
+    big = np.sqrt((1.0 + np.abs(z)) / 2.0)
+    small = rho / (2.0 * big)
+    north = z >= 0.0
+    c, s = np.where(north, big, small), np.where(north, small, big)
+    # componentwise division (complex/complex would square a possibly
+    # subnormal rho and underflow to nan), then renormalize so the unit-norm
+    # invariant survives subnormal transverse components
+    axial = rho == 0.0
+    rho_or_1 = np.where(axial, 1.0, rho)
+    px, py = n[:, 0] / rho_or_1, n[:, 1] / rho_or_1
+    h = np.where(axial, 1.0, np.hypot(px, py))
+    cos_phi, sin_phi = np.where(axial, 1.0, px / h), np.where(axial, 0.0, py / h)
+    theta = np.zeros((len(n), 2), dtype=complex)
+    if lam == 1:
+        theta.real[:, 0] = c
+        theta.real[:, 1] = cos_phi * s
+        theta.imag[:, 1] = sin_phi * s
+    else:
+        theta.real[:, 0] = -cos_phi * s
+        theta.imag[:, 0] = sin_phi * s
+        theta.real[:, 1] = c
+    return theta
 
 
 def helicity_spinor(direction, lam: int) -> np.ndarray:
@@ -47,32 +77,10 @@ def helicity_spinor(direction, lam: int) -> np.ndarray:
     n = np.asarray(direction, dtype=float)
     if n.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    norm = np.linalg.norm(n)
+    norm = math.hypot(*n)
     if norm == 0.0:
         raise ZeroMomentum("helicity spinor undefined for zero direction")
-    n = n / norm
-    z = min(1.0, max(-1.0, n[2]))
-    rho = math.hypot(n[0], n[1])
-    # recover the small half-angle factor from rho = 2 c s rather than from
-    # 1 -+ z, which rounds away near the poles
-    if z >= 0.0:
-        c = math.sqrt((1.0 + z) / 2.0)
-        s = rho / (2.0 * c)
-    else:
-        s = math.sqrt((1.0 - z) / 2.0)
-        c = rho / (2.0 * s)
-    # componentwise division (complex/complex would square a possibly
-    # subnormal rho and underflow to nan), then renormalize so the unit-norm
-    # invariant survives subnormal transverse components
-    if rho > 0.0:
-        px, py = n[0] / rho, n[1] / rho
-        h = math.hypot(px, py)
-        phase = complex(px / h, py / h)
-    else:
-        phase = complex(1.0)
-    if lam == 1:
-        return np.array([c, phase * s], dtype=complex)
-    return np.array([-np.conj(phase) * s, c], dtype=complex)
+    return _helicity_spinors((n / norm)[None], lam)[0]
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,8 @@ class PlaneWaveSpec:
     ``energy_sign`` +1 selects the u-amplitude (wave e^{-ipx}), -1 the
     v-amplitude (wave e^{+ipx}, physical momentum -p).  ``helicity`` is the
     label lambda; the actual helicity eigenvalue of the amplitude is
-    ``helicity_eigenvalue`` = energy_sign * helicity.
+    ``helicity_eigenvalue`` = energy_sign * helicity.  |p| and the shell
+    energy are computed once, at construction.
     """
 
     species: Species
@@ -113,18 +122,21 @@ class PlaneWaveSpec:
             raise ValueError("momentum must be three finite components")
         if not (math.isfinite(self.mass) and self.mass >= 0):
             raise ValueError(f"mass must be finite and non-negative, got {self.mass}")
-        if self.k == 0.0:
+        # scaled norm: neither overflows at 1e200 nor underflows at 1e-300
+        k = math.hypot(*self.momentum)
+        if k == 0.0:
             raise ZeroMomentum("plane-wave spec needs |p| > 0 (helicity direction)")
+        object.__setattr__(self, "_k", k)
         # shell validation (raises NonPhysicalMomentum / MassNotZero)
-        energy_from_momentum(self.species, self.k, self.mass)
+        object.__setattr__(self, "_epsilon", energy_from_momentum(self.species, k, self.mass))
 
     @property
     def k(self) -> float:
-        return float(np.linalg.norm(self.momentum))
+        return self._k
 
     @property
     def epsilon(self) -> float:
-        return energy_from_momentum(self.species, self.k, self.mass)
+        return self._epsilon
 
     @property
     def direction(self) -> np.ndarray:
@@ -139,52 +151,116 @@ class PlaneWaveSpec:
         return self.energy_sign * self.helicity
 
 
-def _component_factors(spec: PlaneWaveSpec) -> tuple[float, float]:
-    """Stable square-root factors (upper, lower) of the u-amplitude blocks.
+@dataclass(frozen=True, eq=False)
+class SpecGroup:
+    """Specs that share all four labels, with their numbers as arrays.
 
-    For tachyonic species in the standard basis these are sqrt(k +- m lam);
-    k - m is exact by Sterbenz whenever k <= 2m, so no special casing is
-    needed.  The chiral-basis pair sqrt(k +- eps lam) and the bradyon pairs
-    sqrt(eps +- m), sqrt(eps +- k lam) each contain one difference that does
-    cancel, and is replaced by the identity small = (product of roots)/big.
+    It has the attributes of `PlaneWaveSpec` (labels as scalars; ``momentum``
+    (n, 3) and ``k``, ``mass``, ``epsilon`` (n,) as arrays), so the functions
+    documented to take "a spec or a group" compute one row per spec.
+    ``rows`` holds the positions of the specs in the sequence they came from.
     """
-    k, m, lam = spec.k, spec.mass, spec.helicity
-    tachyonic = spec.species is not Species.BRADYON
-    eps = spec.epsilon
-    if tachyonic:
-        if spec.rep is Representation.STANDARD:
-            # |p| may land an ulp below m at the transcendent point
-            return (math.sqrt(max(k + m * lam, 0.0)),
-                    math.sqrt(max(k - m * lam, 0.0)))
-        big = math.sqrt(k + eps)
-        small = m / big if big > 0.0 else 0.0
-        return (big, small) if lam == 1 else (small, big)
-    if spec.rep is Representation.STANDARD:
-        big = math.sqrt(eps + m)
-        return big, k / big
-    big = math.sqrt(eps + k)
-    small = m / big
-    return (big, small) if lam == 1 else (small, big)
+
+    species: Species
+    energy_sign: int
+    helicity: int
+    rep: Representation
+    rows: np.ndarray
+    momentum: np.ndarray
+    k: np.ndarray
+    mass: np.ndarray
+    epsilon: np.ndarray
+
+    @property
+    def helicity_eigenvalue(self) -> int:
+        return self.energy_sign * self.helicity
+
+
+def spec_groups(specs) -> list[SpecGroup]:
+    """Split a sequence of specs by (species, energy sign, helicity, basis)."""
+    index: dict[tuple, list[int]] = {}
+    for i, s in enumerate(specs):
+        index.setdefault((s.species, s.energy_sign, s.helicity, s.rep), []).append(i)
+    groups = []
+    for (species, sign, lam, rep), rows in index.items():
+        members = [specs[i] for i in rows]
+        groups.append(SpecGroup(
+            species, sign, lam, rep, rows=np.array(rows),
+            momentum=np.array([s.momentum for s in members]).reshape(-1, 3),
+            k=np.array([s.k for s in members]),
+            mass=np.array([s.mass for s in members]),
+            epsilon=np.array([s.epsilon for s in members])))
+    return groups
+
+
+def four_momenta(spec) -> np.ndarray:
+    """(eps; p) of a spec, shape (4,), or of each spec of a group, shape (n, 4)."""
+    eps = np.asarray(spec.epsilon, dtype=float)
+    return np.concatenate([eps[..., None], np.asarray(spec.momentum, dtype=float)], axis=-1)
+
+
+def _block_factors(g: SpecGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (upper, lower) multiplying the helicity spinor in each block.
+
+    The stable square-root factors: for tachyonic species in the standard
+    basis sqrt(k +- m lam); k - m is exact by Sterbenz whenever k <= 2m, so no
+    special casing is needed.  The chiral-basis pair sqrt(k +- eps lam) and
+    the bradyon pairs sqrt(eps +- m), sqrt(eps +- k lam) each contain one
+    difference that does cancel, and is replaced by the identity
+    small = (product of roots)/big.
+    """
+    k, m, eps, lam = g.k, g.mass, g.epsilon, g.helicity
+    tachyonic = g.species is not Species.BRADYON
+    standard = g.rep is Representation.STANDARD
+    if tachyonic and standard:
+        # |p| may land an ulp below m at the transcendent point
+        a = np.sqrt(np.maximum(k + m * lam, 0.0))
+        b = np.sqrt(np.maximum(k - m * lam, 0.0))
+    elif standard:
+        a = np.sqrt(eps + m)
+        b = k / a
+    else:
+        big = np.sqrt(k + eps)
+        small = m / big
+        a, b = (big, small) if lam == 1 else (small, big)
+    if g.energy_sign == 1:
+        return (a, lam * b) if standard or tachyonic else (a, b)
+    if standard:
+        return (-lam * a, b) if tachyonic else (-lam * b, a)
+    return (lam * b, a) if tachyonic else (-b, a)
+
+
+def group_amplitudes(g: SpecGroup) -> np.ndarray:
+    """The amplitudes (n, 4) of the specs of one group."""
+    upper, lower = _block_factors(g)
+    theta = _helicity_spinors(g.momentum / g.k[:, None], g.helicity_eigenvalue)
+    return np.concatenate([upper[:, None] * theta, lower[:, None] * theta], axis=1)
+
+
+def amplitudes(specs) -> np.ndarray:
+    """The helicity bispinor amplitudes (N, 4) of a sequence of specs, in order.
+
+    The plane-wave kernel: specs are grouped by their labels (at most 24
+    groups) and each group runs its branch of the closed forms on arrays.
+    """
+    out = np.empty((len(specs), 4), dtype=complex)
+    for g in spec_groups(specs):
+        out[g.rows] = group_amplitudes(g)
+    return out
 
 
 def amplitude(spec: PlaneWaveSpec) -> np.ndarray:
-    """The helicity bispinor amplitude of the given plane wave."""
-    lam = spec.helicity
-    theta = helicity_spinor(spec.direction, spec.helicity_eigenvalue)
-    a, b = _component_factors(spec)
-    tachyonic = spec.species is not Species.BRADYON
-    positive = spec.energy_sign == 1
-    if spec.rep is Representation.STANDARD:
-        if tachyonic:
-            upper, lower = (a, lam * b) if positive else (-lam * a, b)
-        else:
-            upper, lower = (a, lam * b) if positive else (-lam * b, a)
-    else:
-        if tachyonic:
-            upper, lower = (a, lam * b) if positive else (lam * b, a)
-        else:
-            upper, lower = (a, b) if positive else (-b, a)
-    return np.concatenate([upper * theta, lower * theta])
+    """The helicity bispinor amplitude of the given plane wave.
+
+    `amplitudes` at N = 1, computed on first use and kept on the spec; the
+    array is read-only.
+    """
+    w = spec.__dict__.get("_amplitude")
+    if w is None:
+        w = amplitudes((spec,))[0]
+        w.setflags(write=False)
+        object.__setattr__(spec, "_amplitude", w)
+    return w
 
 
 def amplitude_from_spinor(species: Species, energy_sign: int, momentum, mass: float,
@@ -237,26 +313,48 @@ def amplitude_from_spinor(species: Species, energy_sign: int, momentum, mass: fl
     return np.concatenate([linked, two])
 
 
-def dirac_operator(spec: PlaneWaveSpec) -> np.ndarray:
-    """Momentum-space operator annihilating the amplitude of ``spec``."""
-    gs = gamma_set(spec.rep)
-    ps = slash(gs, spec.four_momentum)
-    if spec.species is Species.BRADYON:
-        mass_term = spec.mass * np.eye(4)
-    else:
-        mass_term = spec.mass * gs.gamma5
-    return ps - spec.energy_sign * mass_term
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 
 
-def solution_residual(spec: PlaneWaveSpec, w: Optional[np.ndarray] = None) -> float:
-    """Relative residual |D w| / |w| of an amplitude under its own operator."""
+def wave_operator(gs: GammaSet, p4, signed_mass, tachyonic: bool) -> np.ndarray:
+    """slash(p) - sign m (gamma^5 for tachyonic species, 1 for bradyons).
+
+    ``p4`` is a four-vector or an array (..., 4) of them, and ``signed_mass``
+    (sign * m) broadcasts against its leading axes.  The operator of a raw
+    four-vector, so it also serves boosted momenta off the positive shell.
+    """
+    unit = gs.gamma5 if tachyonic else _EYE4
+    return slash(gs, p4) - np.asarray(signed_mass)[..., None, None] * unit
+
+
+def dirac_operator(spec) -> np.ndarray:
+    """Momentum-space operator annihilating the amplitude of a spec or of
+    each spec of a group."""
+    return wave_operator(gamma_set(spec.rep), four_momenta(spec),
+                         spec.energy_sign * spec.mass, spec.species is not Species.BRADYON)
+
+
+def relative_residual(op: np.ndarray, w: np.ndarray):
+    """|op w| / |w| of a bispinor, or row by row of stacked operators and bispinors."""
+    return (np.linalg.norm(np.einsum("...ij,...j->...i", op, w), axis=-1)
+            / np.linalg.norm(w, axis=-1))
+
+
+def solution_residual(spec, w: Optional[np.ndarray] = None):
+    """Relative residual |D w| / |w| of an amplitude under its own operator.
+
+    For a group, ``w`` holds one amplitude per spec and the result one
+    residual per spec.
+    """
     if w is None:
         w = amplitude(spec)
-    return float(np.linalg.norm(dirac_operator(spec) @ w) / np.linalg.norm(w))
+    return relative_residual(dirac_operator(spec), w)
 
 
-def norm_convention(spec: PlaneWaveSpec) -> float:
-    """The target amplitude norm w^dag w: 2k (tachyonic) or 2 eps (bradyon)."""
+def norm_convention(spec):
+    """The target amplitude norm w^dag w: 2k (tachyonic) or 2 eps (bradyon),
+    of a spec or of each spec of a group."""
     if spec.species is Species.BRADYON:
         return 2.0 * spec.epsilon
     return 2.0 * spec.k
@@ -282,12 +380,15 @@ def proportionality_defect(a: np.ndarray, b: np.ndarray) -> float:
 
     Equals sqrt(|a|^2 |b|^2 - |a^dag b|^2) / (|a| |b|), evaluated as the norm
     of the Gram-Schmidt rejection, which does not cancel catastrophically for
-    nearly parallel vectors.
+    nearly parallel vectors.  Vectors lie along the last axis; stacked
+    vectors give one defect per row.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    na = np.linalg.norm(a, axis=-1, keepdims=True)
+    nb = np.linalg.norm(b, axis=-1, keepdims=True)
+    if not (np.all(na != 0.0) and np.all(nb != 0.0)):
         raise ValueError("proportionality defect undefined for zero vectors")
     ah, bh = a / na, b / nb
-    return float(np.linalg.norm(bh - ah * (ah.conj() @ bh)))
+    overlap = np.einsum("...i,...i->...", ah.conj(), bh)[..., None]
+    return np.linalg.norm(bh - ah * overlap, axis=-1)

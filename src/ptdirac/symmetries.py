@@ -22,14 +22,15 @@ to solutions at the boosted momentum under the sign convention of
 from __future__ import annotations
 
 import enum
-import math
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import METRIC, Representation, dagger, gamma_set, sigma_tensor, slash
-from .kinematics import Species, boost
-from .spinors import PlaneWaveSpec, amplitude, dirac_operator
+from .clifford import METRIC, PAIRS, Representation, dagger, gamma_set
+from .kinematics import Species, _boost_arrays, _cosh_sinh, _unit_axis
+from .spinors import (amplitude, dirac_operator, four_momenta, relative_residual,
+                      wave_operator)
 
 
 class DiscreteKind(enum.Enum):
@@ -60,9 +61,13 @@ class SymmetryMatrix:
     conjugates_argument: bool
 
 
+@functools.lru_cache(maxsize=None)
 def discrete_operator(kind: DiscreteKind, sector: Sector,
                       rep: Representation) -> SymmetryMatrix:
-    """The unitary matrix of one discrete symmetry in one sector and basis."""
+    """The unitary matrix of one discrete symmetry in one sector and basis.
+
+    Built once per (kind, sector, basis); the matrix is read-only.
+    """
     gs = gamma_set(rep)
     g = gs.gammas
     extra = gs.gamma5 if sector is Sector.PSEUDOTACHYONIC else np.eye(4)
@@ -77,36 +82,36 @@ def discrete_operator(kind: DiscreteKind, sector: Sector,
     else:
         raise ValueError(f"unknown discrete kind {kind!r}")
     conj = kind in (DiscreteKind.CHARGE_CONJUGATION, DiscreteKind.TIME_INVERSION)
+    matrix.setflags(write=False)
     return SymmetryMatrix(kind=kind, sector=sector, rep=rep,
                           matrix=matrix, conjugates_argument=conj)
 
 
-def _target_spec(kind: DiscreteKind, spec: PlaneWaveSpec) -> PlaneWaveSpec:
+def _target_spec(kind: DiscreteKind, spec):
     """The plane wave whose operator must annihilate the transformed amplitude.
 
     P and T send the wave to momentum -p at the same energy sign; C and I
     exchange the u and v families at the same momentum.
     """
     if kind in (DiscreteKind.PARITY, DiscreteKind.TIME_INVERSION):
-        px, py, pz = spec.momentum
-        return replace(spec, momentum=(-px, -py, -pz))
+        return replace(spec, momentum=-np.asarray(spec.momentum))
     return replace(spec, energy_sign=-spec.energy_sign)
 
 
-def apply_discrete(kind: DiscreteKind,
-                   spec: PlaneWaveSpec) -> tuple[np.ndarray, float]:
+def apply_discrete(kind: DiscreteKind, spec, w=None) -> tuple[np.ndarray, float]:
     """Transform the amplitude of ``spec`` and verify it solves the mapped wave.
 
     Returns the transformed bispinor U w (or U conj(w) for the antilinear C
     and T) together with the relative residual of the target operator applied
-    to it.
+    to it.  For a group, ``w`` holds one amplitude per spec, and both results
+    have one row per spec.
     """
     op = discrete_operator(kind, sector_for(spec.species), spec.rep)
-    w = amplitude(spec)
-    transformed = op.matrix @ (np.conj(w) if op.conjugates_argument else w)
-    target = dirac_operator(_target_spec(kind, spec))
-    residual = float(np.linalg.norm(target @ transformed) / np.linalg.norm(transformed))
-    return transformed, residual
+    if w is None:
+        w = amplitude(spec)
+    transformed = (np.conj(w) if op.conjugates_argument else w) @ op.matrix.T
+    return transformed, relative_residual(dirac_operator(_target_spec(kind, spec)),
+                                          transformed)
 
 
 def pct_product(sector: Sector, rep: Representation) -> np.ndarray:
@@ -130,10 +135,10 @@ def pct_phase(sector: Sector, rep: Representation) -> complex:
 
 def _check_antisymmetric(domega: np.ndarray) -> np.ndarray:
     d = np.asarray(domega, dtype=float)
-    if d.shape != (4, 4):
+    if d.shape[-2:] != (4, 4):
         raise ValueError("generator parameters must form a 4x4 matrix")
-    scale = 1.0 + float(np.abs(d).max())
-    if float(np.abs(d + d.T).max()) > 1e-12 * scale:
+    scale = 1.0 + np.abs(d).max(axis=(-2, -1))
+    if np.any(np.abs(d + np.swapaxes(d, -1, -2)).max(axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("generator parameters must be antisymmetric")
     return d
 
@@ -142,17 +147,14 @@ def lorentz_generator(delta_omega, rep: Representation = Representation.STANDARD
     """First-order spinor map I - (i/4) sigma_{mu nu} domega^{mu nu}.
 
     ``delta_omega`` holds the upper-index antisymmetric parameters of an
-    infinitesimal proper transformation.  The map commutes with gamma^5, so
-    the tachyonic mass term transforms like the bradyonic one.
+    infinitesimal proper transformation, or a stack (..., 4, 4) of them.  The
+    map commutes with gamma^5, so the tachyonic mass term transforms like the
+    bradyonic one.
     """
     d = _check_antisymmetric(delta_omega)
-    gs = gamma_set(rep)
-    s = np.eye(4, dtype=complex)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            # antisymmetry: the (nu, mu) term doubles the (mu, nu) one
-            s = s - 0.5j * sigma_tensor(gs, mu, nu) * d[mu, nu]
-    return s
+    upper = np.stack([d[..., mu, nu] for mu, nu in PAIRS], axis=-1)
+    # antisymmetry: the (nu, mu) term doubles the (mu, nu) one
+    return np.eye(4) - 0.5j * np.einsum("...p,pij->...ij", upper, gamma_set(rep).sigma_pairs)
 
 
 def first_order_covariance_residual(delta_omega,
@@ -175,58 +177,34 @@ def first_order_covariance_residual(delta_omega,
     return worst
 
 
-def lorentz_boost_spinor(axis, rapidity: float,
+def lorentz_boost_spinor(axis, rapidity,
                          rep: Representation = Representation.STANDARD) -> np.ndarray:
     """Finite bispinor boost cosh(zeta/2) I - sinh(zeta/2) alpha.n.
 
     (alpha.n)^2 = I closes the exponential series exactly; det S = 1 and
-    [S, gamma^5] = 0.
+    [S, gamma^5] = 0.  Axes (..., 3) with rapidities (...) give one map per row.
     """
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"axis must be a unit vector, |axis| = {norm}")
-    n = n / norm
-    gs = gamma_set(rep)
-    a_n = sum(n[i] * gs.alpha[i] for i in range(3))
-    return math.cosh(rapidity / 2.0) * np.eye(4) - math.sinh(rapidity / 2.0) * a_n
+    n = _unit_axis(axis)
+    ch, sh = _cosh_sinh(np.asarray(rapidity, dtype=float) / 2.0)
+    a_n = np.einsum("...i,ijk->...jk", n, gamma_set(rep).alpha_stack)
+    return (np.asarray(ch)[..., None, None] * np.eye(4)
+            - np.asarray(sh)[..., None, None] * a_n)
 
 
-def apply_boost(spec: PlaneWaveSpec, axis,
-                rapidity: float) -> tuple[np.ndarray, float]:
+def apply_boost(spec, axis, rapidity, w=None) -> tuple[np.ndarray, float]:
     """Boost the amplitude of ``spec`` and verify it solves the boosted wave.
 
     The boosted pseudotachyon energy may go negative, so the target operator
     is built directly from the boosted raw four-vector rather than from a new
-    plane-wave spec.
+    plane-wave spec.  For a group, ``w``, the axes and the rapidities have one
+    row per spec, and so do both results.
     """
-    w = amplitude(spec)
-    s = lorentz_boost_spinor(axis, rapidity, spec.rep)
-    transformed = s @ w
-    q = boost(spec.four_momentum, axis, rapidity)
-    gs = gamma_set(spec.rep)
-    if spec.species is Species.BRADYON:
-        mass_term = spec.mass * np.eye(4)
-    else:
-        mass_term = spec.mass * gs.gamma5
-    target = slash(gs, q) - spec.energy_sign * mass_term
-    residual = float(np.linalg.norm(target @ transformed) / np.linalg.norm(transformed))
-    return transformed, residual
-
-
-def run_symmetry_suite(seed: int, trials: int, tol: float):
-    """Seeded residual suite over every symmetry identity of this module.
-
-    Returns a ``verify.VerificationReport``; deterministic for a fixed seed,
-    with per-trial randomness derived from (seed, trial index).
-    """
-    from . import verify
-
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    checks = verify.symmetry_checks(seed, trials, tol)
-    return verify.VerificationReport(seed=seed, trials=trials, tol=tol,
-                                     checks=tuple(checks),
-                                     notes=verify.symmetry_notes())
+    n = _unit_axis(axis)
+    if w is None:
+        w = amplitude(spec)
+    s = lorentz_boost_spinor(n, rapidity, spec.rep)
+    transformed = np.einsum("...ij,...j->...i", s, w)
+    q = _boost_arrays(four_momenta(spec), n, rapidity)
+    target = wave_operator(gamma_set(spec.rep), q, spec.energy_sign * spec.mass,
+                           spec.species is not Species.BRADYON)
+    return transformed, relative_residual(target, transformed)

@@ -2,21 +2,24 @@
 
 Each check draws its randomness per trial from (seed, group id, trial index),
 so reports are bit-identical for a fixed seed regardless of execution order,
-and individual trials can be replayed in isolation.  A check passes when its
-worst residual over all trials stays at or below the tolerance it was run
-with; the acceptance tests re-run the same checks against the per-invariant
-tolerances they pin.
+and individual trials can be replayed in isolation.  The spinor, observable
+and symmetry groups (and the kinematics boost checks) first draw every
+trial's inputs, trial by trial, and then evaluate each check as array passes
+over all trials at once, one pass per set of spec labels.  A check passes when its worst residual over all trials
+stays at or below the tolerance it was run with; the worst residual is NaN
+when any residual is, so a NaN never passes.  The acceptance tests re-run the
+same checks against the per-invariant tolerances they pin.
 """
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import clifford, kinematics, observables, spinors, symmetries
 from .clifford import METRIC, PAULI, Representation, dagger, gamma_set
-from .kinematics import FourVector, Species
+from .kinematics import FourVector, Species, minkowski_dot
 from .spinors import NormalizationContext, PlaneWaveSpec
 
 
@@ -41,9 +44,23 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _result(name: str, residual: float, tol: float) -> CheckResult:
-    return CheckResult(name=name, max_residual=float(residual), tol=tol,
-                       passed=residual <= tol)
+def _result(name: str, residuals: list, tol: float) -> CheckResult:
+    """Result of the worst of a list of floats or of arrays of residuals:
+    NaN if any residual is NaN, 0 if there are none."""
+    if residuals and np.ndim(residuals[0]):
+        residuals = np.concatenate([np.ravel(r) for r in residuals])
+    worst = float(np.max(np.asarray(residuals, dtype=float), initial=0.0))
+    return CheckResult(name=name, max_residual=worst, tol=tol, passed=worst <= tol)
+
+
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
+def _rows(op: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """op[n] @ w[n] for every row n."""
+    return np.einsum("nij,nj->ni", op, w)
 
 
 def trial_rng(seed: int, group: str, index: int) -> np.random.Generator:
@@ -93,42 +110,40 @@ def random_spec(rng: np.random.Generator, index: int, *,
 # ---------------------------------------------------------------- clifford
 
 def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
+    _check_trials(trials)
     reps = (Representation.STANDARD, Representation.WEYL)
-    anti = 0.0
+    anti = []
     for i in range(trials):
         rng = trial_rng(seed, "clifford.anticommutation", i)
         mu, nu = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         gs = gamma_set(reps[i % 2])
-        r = np.linalg.norm(gs.gammas[mu] @ gs.gammas[nu] + gs.gammas[nu] @ gs.gammas[mu]
-                           - 2.0 * METRIC[mu, nu] * np.eye(4))
-        anti = max(anti, float(r))
+        anti.append(np.linalg.norm(gs.gammas[mu] @ gs.gammas[nu] + gs.gammas[nu] @ gs.gammas[mu]
+                                   - 2.0 * METRIC[mu, nu] * np.eye(4)))
 
-    herm = g5p = a5sq = 0.0
+    herm, g5p, a5sq = [], [], []
     for rep in reps:
         gs = gamma_set(rep)
-        herm = max(herm, float(np.linalg.norm(dagger(gs.gammas[0]) - gs.gammas[0])))
+        herm.append(np.linalg.norm(dagger(gs.gammas[0]) - gs.gammas[0]))
         for k in (1, 2, 3):
-            herm = max(herm, float(np.linalg.norm(dagger(gs.gammas[k]) + gs.gammas[k])))
-        herm = max(herm, float(np.linalg.norm(dagger(gs.gamma5) - gs.gamma5)))
-        g5p = max(g5p, float(np.linalg.norm(
-            gs.gamma5 - 1j * gs.gammas[0] @ gs.gammas[1] @ gs.gammas[2] @ gs.gammas[3])))
-        g5p = max(g5p, float(np.linalg.norm(gs.gamma5 @ gs.gamma5 - np.eye(4))))
-        a5sq = max(a5sq, float(np.linalg.norm(gs.alpha5 @ gs.alpha5 + np.eye(4))))
+            herm.append(np.linalg.norm(dagger(gs.gammas[k]) + gs.gammas[k]))
+        herm.append(np.linalg.norm(dagger(gs.gamma5) - gs.gamma5))
+        g5p.append(np.linalg.norm(
+            gs.gamma5 - 1j * gs.gammas[0] @ gs.gammas[1] @ gs.gammas[2] @ gs.gammas[3]))
+        g5p.append(np.linalg.norm(gs.gamma5 @ gs.gamma5 - np.eye(4)))
+        a5sq.append(np.linalg.norm(gs.alpha5 @ gs.alpha5 + np.eye(4)))
 
     w = clifford.representation_change()
     gw, gstd = gamma_set(Representation.WEYL), gamma_set(Representation.STANDARD)
-    wmap = float(np.linalg.norm(w @ w - np.eye(4)))
-    wmap = max(wmap, float(np.linalg.norm(dagger(w) @ w - np.eye(4))))
+    wmap = [np.linalg.norm(w @ w - np.eye(4)), np.linalg.norm(dagger(w) @ w - np.eye(4))]
     for mu in range(4):
-        wmap = max(wmap, float(np.linalg.norm(w @ gw.gammas[mu] @ w - gstd.gammas[mu])))
-    wmap = max(wmap, float(np.linalg.norm(w @ gw.gamma5 @ w - gstd.gamma5)))
+        wmap.append(np.linalg.norm(w @ gw.gammas[mu] @ w - gstd.gammas[mu]))
+    wmap.append(np.linalg.norm(w @ gw.gamma5 @ w - gstd.gamma5))
 
-    block = 0.0
+    block = []
     for i, s in enumerate(PAULI):
         expected = np.block([[s, np.zeros((2, 2))], [np.zeros((2, 2)), s]])
-        block = max(block, float(np.abs(gstd.sigma_spin[i] - expected).max()))
-        block = max(block, float(np.linalg.norm(
-            gstd.sigma_spin[i] - gstd.alpha[i] @ gstd.gamma5)))
+        block.append(np.abs(gstd.sigma_spin[i] - expected).max())
+        block.append(np.linalg.norm(gstd.sigma_spin[i] - gstd.alpha[i] @ gstd.gamma5))
 
     return [
         _result("clifford.anticommutation", anti, tol),
@@ -143,7 +158,8 @@ def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 # -------------------------------------------------------------- kinematics
 
 def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    shell = dual = speed = binv = bcomp = 0.0
+    _check_trials(trials)
+    shell, dual, speed, boosts, axes, rapidities = [], [], [], [], [], []
     for i in range(trials):
         rng = trial_rng(seed, "kinematics", i)
         m = float(rng.uniform(0.2, 3.0))
@@ -158,43 +174,49 @@ def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             k = m * float(rng.uniform(0.1, 10.0))
         eps = kinematics.energy_from_momentum(species, k, m)
         if species is Species.BRADYON:
-            k_back = np.sqrt(max(eps - m, 0.0)) * np.sqrt(eps + m)
+            k_back = np.sqrt(max(eps - m, 0.0)) * np.sqrt(eps + m)  # keeps a NaN eps
         elif species is Species.PSEUDOTACHYON:
             k_back = np.hypot(eps, m)
         else:
             k_back = eps
-        shell = max(shell, abs(k_back - k) / k)
+        shell.append(abs(k_back - k) / k)
 
         if species is not Species.LUXON:
             p4 = FourVector(eps, *(k * random_direction(rng)))
             pd = kinematics.dual_momentum(p4)
-            p2 = kinematics.minkowski_dot(p4, p4)
+            p2 = minkowski_dot(p4, p4)
             scale = max(1.0, abs(p2))
-            dual = max(dual, abs(kinematics.minkowski_dot(p4, pd)) / scale)
-            dual = max(dual, abs(kinematics.minkowski_dot(pd, pd) + p2) / scale)
+            dual.append(abs(minkowski_dot(p4, pd)) / scale)
+            dual.append(abs(minkowski_dot(pd, pd) + p2) / scale)
 
         e1 = float(rng.uniform(0.01, 10.0))
         e2 = e1 * float(rng.uniform(1.0001, 2.0))
         mm = float(rng.uniform(0.1, 3.0))
         s1, s2 = kinematics.speeds(e1, mm), kinematics.speeds(e2, mm)
-        speed = max(speed, max(0.0, -s1.v), max(0.0, s1.v - 1.0), max(0.0, 1.0 - s1.w))
+        # max(x, 0.0), not max(0.0, x): Python's max keeps its first
+        # argument when the comparison fails, so this keeps a NaN x
+        speed += [max(-s1.v, 0.0), max(s1.v - 1.0, 0.0), max(1.0 - s1.w, 0.0)]
         if s1.u is not None:
-            speed = max(speed, max(0.0, -s1.u), max(0.0, s1.u - 1.0))
-        speed = max(speed, max(0.0, s1.v - s2.v))     # v strictly increasing
-        speed = max(speed, abs(s1.v * s1.w - 1.0))
+            speed += [max(-s1.u, 0.0), max(s1.u - 1.0, 0.0)]
+        speed.append(max(s1.v - s2.v, 0.0))     # v strictly increasing
+        speed.append(abs(s1.v * s1.w - 1.0))
 
-        p4 = FourVector(eps, *(k * random_direction(rng)))
-        axis = random_direction(rng)
-        z1, z2 = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        q = kinematics.boost(p4, axis, z1)
-        p2 = kinematics.minkowski_dot(p4, p4)
-        # relative to the squared scale of the boosted components
-        scale = max(1.0, abs(p2), float(np.max(np.abs(q.as_array()))) ** 2)
-        binv = max(binv, abs(kinematics.minkowski_dot(q, q) - p2) / scale)
-        q12 = kinematics.boost(q, axis, z2)
-        q_once = kinematics.boost(p4, axis, z1 + z2)
-        bcomp = max(bcomp, float(np.max(np.abs(q12.as_array() - q_once.as_array())))
-                    / max(1.0, float(np.max(np.abs(q_once.as_array())))))
+        boosts.append((eps, *(k * random_direction(rng))))
+        axes.append(random_direction(rng))
+        rapidities.append((float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))))
+
+    # the boost checks run as array passes over every trial
+    p4, n = np.array(boosts).reshape(-1, 4), kinematics._unit_axis(np.array(axes).reshape(-1, 3))
+    z1, z2 = np.array(rapidities).reshape(-1, 2).T
+    q = kinematics._boost_arrays(p4, n, z1)
+    p2 = minkowski_dot(p4, p4)
+    # relative to the squared scale of the boosted components
+    scale = np.maximum(np.maximum(1.0, np.abs(p2)), np.max(np.abs(q), axis=1) ** 2)
+    binv = [np.abs(minkowski_dot(q, q) - p2) / scale]
+    q12 = kinematics._boost_arrays(q, n, z2)
+    q_once = kinematics._boost_arrays(p4, n, z1 + z2)
+    bcomp = [np.max(np.abs(q12 - q_once), axis=1)
+             / np.maximum(1.0, np.max(np.abs(q_once), axis=1))]
     return [
         _result("kinematics.shell_roundtrip", shell, tol),
         _result("kinematics.dual_momentum", dual, tol),
@@ -207,52 +229,58 @@ def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 # ----------------------------------------------------------------- spinors
 
 def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    solution = norm = hel = chir = transc = adjoint = repmap = normid = 0.0
-    w_conv = clifford.representation_change()
+    _check_trials(trials)
+    specs, volumes = [], []
     for i in range(trials):
         rng = trial_rng(seed, "spinors", i)
-        spec = random_spec(rng, i)
-        gs = gamma_set(spec.rep)
-        w = spinors.amplitude(spec)
-        nw = float(np.linalg.norm(w))
-        solution = max(solution, spinors.solution_residual(spec, w))
-        norm = max(norm, abs(float(np.real(np.vdot(w, w))) - spinors.norm_convention(spec)))
+        specs.append(random_spec(rng, i))
+        volumes.append(float(rng.uniform(0.1, 10.0)))
+    n_fac = np.array([spinors.normalization_factor(s, NormalizationContext(volume=v))
+                      for s, v in zip(specs, volumes)])
+    volumes = np.array(volumes)
+    w_all = spinors.amplitudes(specs)
+    w_conv = clifford.representation_change()
+    pauli = np.stack(PAULI)
 
-        lam_op = sum(spec.momentum[j] * gs.sigma_spin[j] for j in range(3)) / spec.k
-        hel = max(hel, float(np.linalg.norm(lam_op @ w - spec.helicity_eigenvalue * w)) / nw)
+    solution, norm, normid, hel, chir, transc, adjoint, repmap = ([] for _ in range(8))
+    for g in spinors.spec_groups(specs):
+        gs = gamma_set(g.rep)
+        w = w_all[g.rows]
+        nw = np.linalg.norm(w, axis=1)
+        n2 = np.einsum("ni,ni->n", w.conj(), w).real
+        h = g.helicity_eigenvalue
+        solution.append(spinors.solution_residual(g, w))
+        norm.append(np.abs(n2 - spinors.norm_convention(g)))
+        normid.append(np.abs(n_fac[g.rows] ** 2 * n2 * volumes[g.rows] - 1.0))
 
-        vol = float(rng.uniform(0.1, 10.0))
-        n_fac = spinors.normalization_factor(spec, NormalizationContext(volume=vol))
-        normid = max(normid, abs(n_fac**2 * float(np.real(np.vdot(w, w))) * vol - 1.0))
+        lam_op = np.einsum("nj,jab->nab", g.momentum, gs.spin_stack) / g.k[:, None, None]
+        hel.append(np.linalg.norm(_rows(lam_op, w) - h * w, axis=1) / nw)
 
-        if spec.species is Species.LUXON:
-            chiral_sign = spec.helicity_eigenvalue
-            chir = max(chir, float(np.linalg.norm(gs.gamma5 @ w - chiral_sign * w)) / nw)
-            if spec.rep is Representation.STANDARD and spec.energy_sign == 1:
+        standard = g.rep is Representation.STANDARD
+        if g.species is Species.LUXON:
+            chir.append(np.linalg.norm(w @ gs.gamma5.T - h * w, axis=1) / nw)
+            if standard and g.energy_sign == 1:
                 # massless positive-energy amplitudes coincide entrywise with
                 # the opposite-helicity negative-energy ones (up to sign)
-                twin = spinors.amplitude(
-                    PlaneWaveSpec(spec.species, -1, spec.momentum, 0.0,
-                                  -spec.helicity, spec.rep))
-                chir = max(chir, float(np.linalg.norm(w - spec.helicity * twin)) / nw)
-        if spec.species is Species.PSEUDOTACHYON and spec.epsilon == 0.0 \
-                and spec.rep is Representation.STANDARD:
-            psig = sum(spec.momentum[j] * PAULI[j] for j in range(3))
-            phi, chi = w[:2], w[2:]
+                twin = spinors.group_amplitudes(
+                    replace(g, energy_sign=-1, helicity=-g.helicity))
+                chir.append(np.linalg.norm(w - g.helicity * twin, axis=1) / nw)
+        if g.species is Species.PSEUDOTACHYON and standard:
+            at = g.epsilon == 0.0
+            psig = np.einsum("nj,jab->nab", g.momentum[at], pauli)
             # the u-system decouples as (p.s - m) phi = (p.s + m) chi = 0;
             # the v-system carries the mirrored signs
-            sm = spec.energy_sign * spec.mass * np.eye(2)
-            transc = max(transc, float(np.linalg.norm((psig + sm) @ chi)) / nw)
-            transc = max(transc, float(np.linalg.norm((psig - sm) @ phi)) / nw)
-        if spec.species is Species.PSEUDOTACHYON and spec.energy_sign == 1:
-            wbar = dagger(w) @ gs.gammas[0]
-            adj_op = clifford.slash(gs, spec.four_momentum) + spec.mass * gs.gamma5
-            adjoint = max(adjoint, float(np.linalg.norm(wbar @ adj_op)) / nw)
-        if spec.rep is Representation.WEYL:
-            twin = PlaneWaveSpec(spec.species, spec.energy_sign, spec.momentum,
-                                 spec.mass, spec.helicity, Representation.STANDARD)
-            repmap = max(repmap, spinors.proportionality_defect(
-                w_conv @ w, spinors.amplitude(twin)))
+            sm = (g.energy_sign * g.mass[at])[:, None, None] * np.eye(2)
+            transc.append(np.linalg.norm(_rows(psig + sm, w[at, 2:]), axis=1) / nw[at])
+            transc.append(np.linalg.norm(_rows(psig - sm, w[at, :2]), axis=1) / nw[at])
+        if g.species is Species.PSEUDOTACHYON and g.energy_sign == 1:
+            wbar = w.conj() @ gs.gammas[0]
+            # slash(p) + m gamma^5
+            adj_op = spinors.wave_operator(gs, spinors.four_momenta(g), -g.mass, True)
+            adjoint.append(np.linalg.norm(np.einsum("ni,nij->nj", wbar, adj_op), axis=1) / nw)
+        if not standard:
+            twin = spinors.group_amplitudes(replace(g, rep=Representation.STANDARD))
+            repmap.append(spinors.proportionality_defect(w @ w_conv.T, twin))
     return [
         _result("spinors.dirac_solution", solution, tol),
         _result("spinors.norm_convention", norm, tol),
@@ -268,40 +296,43 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 # ------------------------------------------------------------- observables
 
 def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    dual = vclosed = vbar = sbar = cons = herm = eig = 0.0
-    for i in range(trials):
-        rng = trial_rng(seed, "observables", i)
-        spec = random_spec(rng, i, massive_only=True, modest_shells=True)
-        v = observables.mean_velocity(spec)
-        speed = float(np.linalg.norm(v))
-        # the duality ratio amplifies bilinear roundoff by k/eps, so stay off
-        # the transcendent point (which k > m excludes anyway)
-        if spec.species is Species.PSEUDOTACHYON and spec.epsilon > 1e-4 * spec.k:
-            dual = max(dual, abs(speed * spec.k / spec.epsilon - 1.0))
-            dual = max(dual, max(0.0, speed - 1.0))
-        vclosed = max(vclosed, float(np.max(np.abs(
-            v - observables.mean_velocity_closed_form(spec)))))
+    _check_trials(trials)
+    specs = [random_spec(trial_rng(seed, "observables", i), i,
+                         massive_only=True, modest_shells=True) for i in range(trials)]
+    w_all = spinors.amplitudes(specs)
 
-        vb = observables.mean_four_velocity(spec)
-        sb = observables.mean_spin_four_vector(spec)
-        vbar = max(vbar, float(np.max(np.abs(
-            vb.as_array() - observables.mean_four_velocity_closed_form(spec).as_array()))))
-        sbar = max(sbar, float(np.max(np.abs(
-            sb.as_array() - observables.mean_spin_four_vector_closed_form(spec).as_array()))))
-        vbar = max(vbar, abs(kinematics.minkowski_dot(vb, vb) - 1.0))
-        sbar = max(sbar, abs(kinematics.minkowski_dot(sb, sb) + 1.0))
+    dual, vclosed, vbar, sbar, cons, herm, eig = ([] for _ in range(7))
+    for g in spinors.spec_groups(specs):
+        w = w_all[g.rows]
+        b = observables.bilinears(w, g.rep)
+        v = b[:, 1:4] / b[:, :1]
+        if g.species is Species.PSEUDOTACHYON:
+            # the duality ratio amplifies bilinear roundoff by k/eps, so stay off
+            # the transcendent point (which k > m excludes anyway)
+            off = g.epsilon > 1e-4 * g.k
+            speed = np.linalg.norm(v[off], axis=1)
+            dual.append(np.abs(speed * g.k[off] / g.epsilon[off] - 1.0))
+            dual.append(np.maximum(0.0, speed - 1.0))
+        vclosed.append(np.abs(v - observables.mean_velocity_closed_form(g)))
 
-        cons = max(cons, max(abs(r) for r in
-                             observables.constraint_residuals(spec).values()))
-        h = observables.hamiltonian(spec.species, spec.momentum, spec.mass, spec.rep)
-        g5 = gamma_set(spec.rep).gamma5
-        if spec.species is Species.BRADYON:
-            herm = max(herm, float(np.linalg.norm(h - dagger(h))))
+        vb, sb = observables.mean_four_vectors(g, b)
+        vb_closed, sb_closed = observables.four_vector_closed_forms(g)
+        vbar.append(np.abs(vb - vb_closed))
+        sbar.append(np.abs(sb - sb_closed))
+        vbar.append(np.abs(minkowski_dot(vb, vb) - 1.0))
+        sbar.append(np.abs(minkowski_dot(sb, sb) + 1.0))
+        cons.append(np.abs(observables.constraint_values(g, vb, sb)))
+
+        h = observables.hamiltonian(g.species, g.momentum, g.mass, g.rep)
+        h_dag = np.conj(np.swapaxes(h, 1, 2))
+        if g.species is Species.BRADYON:
+            herm.append(np.linalg.norm(h - h_dag, axis=(1, 2)))
         else:
             # the m alpha^5 mass term is anti-hermitian: H is gamma^5
             # pseudo-hermitian, g5 H g5 = H^dag, with real shell spectrum
-            herm = max(herm, float(np.linalg.norm(g5 @ h @ g5 - dagger(h))))
-        eig = max(eig, observables.energy_eigencheck(spec))
+            g5 = gamma_set(g.rep).gamma5
+            herm.append(np.linalg.norm(g5 @ h @ g5 - h_dag, axis=(1, 2)))
+        eig.append(observables.energy_eigencheck(g, w))
     return [
         _result("observables.velocity_duality", dual, tol),
         _result("observables.velocity_closed_form", vclosed, tol),
@@ -316,54 +347,59 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 # -------------------------------------------------------------- symmetries
 
 def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    unit = 0.0
+    _check_trials(trials)
+    unit = []
     for rep in (Representation.STANDARD, Representation.WEYL):
         for sector in symmetries.Sector:
             for kind in symmetries.DiscreteKind:
                 u = symmetries.discrete_operator(kind, sector, rep).matrix
-                unit = max(unit, float(np.linalg.norm(dagger(u) @ u - np.eye(4))))
+                unit.append(np.linalg.norm(dagger(u) @ u - np.eye(4)))
 
-    pct = 0.0
+    pct = []
     for rep in (Representation.STANDARD, Representation.WEYL):
         inv = symmetries.discrete_operator(
             symmetries.DiscreteKind.FOUR_INVERSION, symmetries.Sector.PSEUDOTACHYONIC,
             rep).matrix
-        pct = max(pct, float(np.linalg.norm(
-            symmetries.pct_product(symmetries.Sector.PSEUDOTACHYONIC, rep) - inv)))
+        pct.append(np.linalg.norm(
+            symmetries.pct_product(symmetries.Sector.PSEUDOTACHYONIC, rep) - inv))
         phase = symmetries.pct_phase(symmetries.Sector.BRADYONIC, rep)
         inv_b = symmetries.discrete_operator(
             symmetries.DiscreteKind.FOUR_INVERSION, symmetries.Sector.BRADYONIC,
             rep).matrix
-        pct = max(pct, float(np.linalg.norm(
-            symmetries.pct_product(symmetries.Sector.BRADYONIC, rep) - phase * inv_b)))
+        pct.append(np.linalg.norm(
+            symmetries.pct_product(symmetries.Sector.BRADYONIC, rep) - phase * inv_b))
 
-    inter = bcov = g5comm = structure = 0.0
+    specs, axes, zetas, generators, zetas2 = [], [], [], [], []
     for i in range(trials):
         rng = trial_rng(seed, "symmetries", i)
-        spec = random_spec(rng, i)
-        for kind in symmetries.DiscreteKind:
-            _, residual = symmetries.apply_discrete(kind, spec)
-            inter = max(inter, residual)
-        axis = random_direction(rng)
-        zeta = float(rng.uniform(-2, 2))
-        _, residual = symmetries.apply_boost(spec, axis, zeta)
-        bcov = max(bcov, residual)
-
-        gs = gamma_set(spec.rep)
-        s_fin = symmetries.lorentz_boost_spinor(axis, zeta, spec.rep)
-        g5comm = max(g5comm, float(np.linalg.norm(
-            s_fin @ gs.gamma5 - gs.gamma5 @ s_fin)))
+        specs.append(random_spec(rng, i))
+        axes.append(random_direction(rng))
+        zetas.append(float(rng.uniform(-2, 2)))
         a = rng.normal(size=(4, 4)) * 1e-3
-        s_gen = symmetries.lorentz_generator(a - a.T, spec.rep)
-        g5comm = max(g5comm, float(np.linalg.norm(
-            s_gen @ gs.gamma5 - gs.gamma5 @ s_gen)))
+        generators.append(a - a.T)
+        zetas2.append(float(rng.uniform(-1, 1)))
+    axes, zetas = np.array(axes).reshape(-1, 3), np.array(zetas)
+    generators, zetas2 = np.array(generators).reshape(-1, 4, 4), np.array(zetas2)
+    w_all = spinors.amplitudes(specs)
 
-        z2 = float(rng.uniform(-1, 1))
-        comp = symmetries.lorentz_boost_spinor(axis, zeta, spec.rep) \
-            @ symmetries.lorentz_boost_spinor(axis, z2, spec.rep) \
-            - symmetries.lorentz_boost_spinor(axis, zeta + z2, spec.rep)
-        structure = max(structure, float(np.linalg.norm(comp)))
-        structure = max(structure, abs(np.linalg.det(s_fin) - 1.0))
+    inter, bcov, g5comm, structure = [], [], [], []
+    for g in spinors.spec_groups(specs):
+        w = w_all[g.rows]
+        for kind in symmetries.DiscreteKind:
+            inter.append(symmetries.apply_discrete(kind, g, w)[1])
+        n, z, z2 = axes[g.rows], zetas[g.rows], zetas2[g.rows]
+        bcov.append(symmetries.apply_boost(g, n, z, w)[1])
+
+        g5 = gamma_set(g.rep).gamma5
+        s_fin = symmetries.lorentz_boost_spinor(n, z, g.rep)
+        g5comm.append(np.linalg.norm(s_fin @ g5 - g5 @ s_fin, axis=(1, 2)))
+        s_gen = symmetries.lorentz_generator(generators[g.rows], g.rep)
+        g5comm.append(np.linalg.norm(s_gen @ g5 - g5 @ s_gen, axis=(1, 2)))
+
+        comp = s_fin @ symmetries.lorentz_boost_spinor(n, z2, g.rep) \
+            - symmetries.lorentz_boost_spinor(n, z + z2, g.rep)
+        structure.append(np.linalg.norm(comp, axis=(1, 2)))
+        structure.append(np.abs(np.linalg.det(s_fin) - 1.0))
     return [
         _result("symmetries.unitarity", unit, tol),
         _result("symmetries.pct_product", pct, tol),

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ptdirac import cli
@@ -242,3 +243,62 @@ def test_invalid_env_tolerance_is_usage_error():
     proc = run_proc("verify", "--trials", "40",
                     env_extra={"PT_DIRAC_TOL": "not-a-number"})
     assert proc.returncode == 2
+
+
+# ------------------------------------------------------ out-of-range arguments
+
+SPEC_ARGS = ["--species", "pt", "--momentum", "0,0,5", "--mass", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--mass", "nan", "--eps-max", "10", "--steps", "11"],
+    ["dispersion", "--mass", "3", "--eps-min", "nan", "--eps-max", "10", "--steps", "11"],
+    ["dispersion", "--mass", "3", "--eps-max", "inf", "--steps", "11"],
+    ["spinor", "--species", "pt", "--momentum", "0,nan,5", "--mass", "3"],
+    ["expect", "--species", "pt", "--momentum", "0,0,5", "--mass", "inf"],
+    ["transform", "--op", "boost", "--rapidity", "0.5", "--axis", "0,0,inf", *SPEC_ARGS],
+    ["transform", "--op", "boost", "--rapidity", "nan", *SPEC_ARGS],
+], ids=["mass", "eps-min", "eps-max", "momentum", "spec-mass", "axis", "rapidity"])
+def test_non_finite_argument_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_main(capsys, *argv)
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_transform_boost_overflow_is_usage_error(capsys):
+    code, out, err = run_main(capsys, "transform", "--op", "boost", "--rapidity", "800",
+                              *SPEC_ARGS)
+    assert code == 2
+    assert out == ""
+    assert "error: OverflowError" in err
+
+
+def test_dispersion_steps_cap_checked_before_the_table(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "dispersion_table", unreachable)
+    code, _, err = run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10",
+                            "--steps", str(cli.MAX_STEPS + 1))
+    assert code == 2
+    assert f"at most {cli.MAX_STEPS}" in err
+
+
+def test_dispersion_memory_error_is_usage_error(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("cannot allocate the table")
+
+    monkeypatch.setattr(cli, "dispersion_table", out_of_memory)
+    code, _, err = run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10",
+                            "--steps", "11")
+    assert code == 2
+    assert "error: MemoryError" in err
+
+
+def test_spinor_non_finite_residual_fails(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_main(capsys, "spinor", "--species", "bradyon",
+                                "--momentum", "0,0,5", "--mass", "1e308")
+    assert code == 1
+    assert "residual nan" in out

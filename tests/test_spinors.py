@@ -13,12 +13,14 @@ from ptdirac.spinors import (
     TranscendentDivision,
     amplitude,
     amplitude_from_spinor,
+    amplitudes,
     convert_representation,
     dirac_operator,
     helicity_spinor,
     normalization_factor,
     proportionality_defect,
     solution_residual,
+    spec_groups,
 )
 
 STD = Representation.STANDARD
@@ -348,3 +350,88 @@ def test_proportionality_defect_orthogonal_vectors():
     b = np.array([0, 1.0, 0, 0])
     assert abs(proportionality_defect(a, b) - 1.0) <= 1e-15
     assert proportionality_defect(a, 3j * a) <= 1e-15
+
+
+# ---------------------------------------------------- extreme momentum scales
+
+@pytest.mark.parametrize("species,p,m", [
+    (Species.PSEUDOTACHYON, (1e200, 0.0, 0.0), 1.0),   # |p|^2 overflows
+    (Species.BRADYON, (1e-300, 0.0, 0.0), 1e-300),     # |p|^2 underflows
+], ids=["1e200", "1e-300"])
+@pytest.mark.parametrize("rep", [STD, WEYL])
+def test_extreme_momenta_construct_with_finite_amplitude(species, p, m, rep):
+    spec = PlaneWaveSpec(species, 1, p, m, 1, rep)
+    assert spec.k == p[0]
+    w = amplitude(spec)
+    assert np.all(np.isfinite(w))
+    target = 2 * spec.epsilon if species is Species.BRADYON else 2 * spec.k
+    assert abs(np.vdot(w, w).real - target) <= 1e-11 * target
+
+
+# ------------------------------------------------- batch kernel against N = 1
+
+def kernel_specs():
+    """Every label combination on generic, pole, near-pole and (for
+    pseudotachyons) transcendent momenta; luxons are the massless states."""
+    rng = np.random.default_rng(11)
+    specs = []
+    for species in Species:
+        for sign in (1, -1):
+            for lam in (1, -1):
+                for rep in (STD, WEYL):
+                    m = 0.0 if species is Species.LUXON else rng.uniform(0.2, 3.0)
+                    k = 1.7 * m + 0.5
+                    n = rng.normal(size=3)
+                    directions = [n / np.linalg.norm(n), (0, 0, 1.0), (0, 0, -1.0),
+                                  (1e-9, 0, 1.0), (0, -1e-9, -1.0)]
+                    for d in directions:
+                        d = np.asarray(d) / np.linalg.norm(d)
+                        specs.append(PlaneWaveSpec(species, sign, tuple(k * d), m, lam, rep))
+                    if species is Species.PSEUDOTACHYON:
+                        specs.append(PlaneWaveSpec(species, sign, (0.0, 0.0, m), m, lam, rep))
+                        specs.append(PlaneWaveSpec(species, sign, (m * 0.6, 0.0, m * 0.8),
+                                                   m, lam, rep))
+    return specs
+
+
+def fresh(spec):
+    return PlaneWaveSpec(spec.species, spec.energy_sign, spec.momentum, spec.mass,
+                         spec.helicity, spec.rep)
+
+
+def test_batch_rows_equal_single_amplitudes_bit_for_bit():
+    specs = kernel_specs()
+    labels = {(s.species, s.energy_sign, s.helicity, s.rep) for s in specs}
+    assert len(labels) == 24
+    assert sum(s.epsilon == 0.0 for s in specs) >= 8
+    batch = amplitudes(specs)
+    for row, spec in zip(batch, specs):
+        assert row.tobytes() == amplitude(fresh(spec)).tobytes(), spec
+
+
+def test_batch_bilinears_match_expectation_report():
+    from ptdirac.observables import bilinears, expectation_report, mean_four_vectors
+    specs = [s for s in kernel_specs() if s.mass > 0]
+    batch = amplitudes(specs)
+    for g in spec_groups(specs):
+        b = bilinears(batch[g.rows], g.rep)
+        v = b[:, 1:4] / b[:, :1]
+        vbar, sbar = mean_four_vectors(g, b)
+        for j, i in enumerate(g.rows):
+            report = expectation_report(fresh(specs[i]))
+            for got, want in [(v[j], report.mean_velocity),
+                              (vbar[j], report.mean_four_velocity.as_array()),
+                              (sbar[j], report.mean_spin_four_vector.as_array())]:
+                want = np.asarray(want)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_amplitude_is_computed_once_and_read_only():
+    spec = pt(p=(1.0, -2.0, 4.5), m=2.0)
+    w = amplitude(spec)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    again = amplitude(spec)
+    assert again is w
+    assert np.array_equal(again, amplitude(fresh(spec)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ptdirac import verify
 from ptdirac.clifford import Representation, dagger, gamma_set
 from ptdirac.kinematics import Species
 from ptdirac.spinors import PlaneWaveSpec, amplitude
@@ -17,7 +18,6 @@ from ptdirac.symmetries import (
     lorentz_generator,
     pct_phase,
     pct_product,
-    run_symmetry_suite,
     sector_for,
 )
 
@@ -241,20 +241,20 @@ def test_boost_covariance_random(rng):
 
 # ----------------------------------------------------------------- suite
 
-def test_run_symmetry_suite_passes():
-    report = run_symmetry_suite(seed=1, trials=100, tol=1e-10)
-    assert report.passed
-    assert {c.name for c in report.checks} >= {
+def test_symmetry_checks_pass():
+    checks = verify.symmetry_checks(seed=1, trials=100, tol=1e-10)
+    assert all(c.passed for c in checks)
+    assert {c.name for c in checks} >= {
         "symmetries.unitarity", "symmetries.intertwining",
         "symmetries.pct_product", "symmetries.boost_covariance"}
 
 
-def test_run_symmetry_suite_deterministic():
-    a = run_symmetry_suite(seed=3, trials=50, tol=1e-10)
-    b = run_symmetry_suite(seed=3, trials=50, tol=1e-10)
+def test_symmetry_checks_deterministic():
+    a = verify.symmetry_checks(seed=3, trials=50, tol=1e-10)
+    b = verify.symmetry_checks(seed=3, trials=50, tol=1e-10)
     assert a == b
 
 
-def test_run_symmetry_suite_rejects_zero_trials():
+def test_symmetry_checks_reject_zero_trials():
     with pytest.raises(ValueError):
-        run_symmetry_suite(seed=1, trials=0, tol=1e-10)
+        verify.symmetry_checks(seed=1, trials=0, tol=1e-10)
