@@ -19,9 +19,9 @@ from .clifford import (
     slash,
 )
 from .kinematics import (
+    DispersionTable,
     FourVector,
     MassNotZero,
-    MassShell,
     NonPhysicalMomentum,
     Species,
     SpeedTriple,

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 verification failure (including a non-finite
 residual), 2 argument or domain error (including non-finite numbers, results
 out of floating-point range and tables too large to allocate), 3 I/O failure.
+A dispersion table is computed and checked in full before its output is
+opened, then written in chunks of CHUNK_ROWS rows.
 The environment variable PT_DIRAC_TOL overrides the default tolerance of
 1e-12.  All randomized commands print the effective seed, so failures are
 replayable.
@@ -19,6 +21,7 @@ import numpy as np
 from . import verify
 from .clifford import Representation
 from .kinematics import (
+    DispersionTable,
     MassNotZero,
     NonPhysicalMomentum,
     Species,
@@ -47,6 +50,8 @@ DEFAULT_TRIALS = 1000
 DEFAULT_PRECISION = 9
 # Most rows one dispersion table may have; checked before the table is built.
 MAX_STEPS = 10_000_000
+# Rows of a dispersion table formatted and written at a time.
+CHUNK_ROWS = 4096
 
 _SPECIES = {"bradyon": Species.BRADYON, "pt": Species.PSEUDOTACHYON,
             "pseudotachyon": Species.PSEUDOTACHYON, "luxon": Species.LUXON}
@@ -179,22 +184,41 @@ def build_parser(default_tol: float = DEFAULT_TOL) -> argparse.ArgumentParser:
     return parser
 
 
+def _write_table(table: DispersionTable, precision: int, out) -> None:
+    """Write a dispersion table as CSV to `out`, CHUNK_ROWS rows at a time.
+
+    Rows with the same absent fields form runs (three at most, since the grid
+    is nondecreasing); each chunk of a run is formatted with one `%` over its
+    repeated row template, which prints like `_fmt` as the table holds no -0.0.
+    """
+    g = f"%.{precision}g"
+    shapes = {(False, False): ((table.epsilon, table.v), f"{g},,{g},\n"),
+              (False, True): ((table.epsilon, table.v, table.w), f"{g},,{g},{g}\n"),
+              (True, True): ((table.epsilon, table.u, table.v, table.w),
+                             f"{g},{g},{g},{g}\n")}
+    out.write("epsilon,u_bradyon,v_pt,w_tachyon\n")
+    n = len(table.epsilon)
+    ends = [*(np.flatnonzero((table.has_u[1:] != table.has_u[:-1])
+                             | (table.has_w[1:] != table.has_w[:-1])) + 1), n]
+    start = 0
+    for end in ends:
+        columns, row = shapes[bool(table.has_u[start]), bool(table.has_w[start])]
+        for lo in range(start, end, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, end)
+            block = np.column_stack([c[lo:hi] for c in columns])
+            out.write((row * (hi - lo)) % tuple(block.ravel().tolist()))
+        start = end
+
+
 def cmd_dispersion(args) -> int:
     if args.steps > MAX_STEPS:
         raise ValueError(f"steps must be at most {MAX_STEPS}, got {args.steps}")
-    rows = dispersion_table(args.mass, args.eps_min, args.eps_max, args.steps)
-    p = args.precision
-    lines = ["epsilon,u_bradyon,v_pt,w_tachyon"]
-    for row in rows:
-        u = "" if row.u is None else _fmt(row.u, p)
-        w = "" if row.w is None else _fmt(row.w, p)
-        lines.append(f"{_fmt(row.epsilon, p)},{u},{_fmt(row.v, p)},{w}")
-    text = "\n".join(lines) + "\n"
+    table = dispersion_table(args.mass, args.eps_min, args.eps_max, args.steps)
     if args.out == "-":
-        sys.stdout.write(text)
+        _write_table(table, args.precision, sys.stdout)
     else:
         with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+            _write_table(table, args.precision, handle)
     return EXIT_OK
 
 

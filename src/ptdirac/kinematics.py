@@ -3,11 +3,14 @@
 Three families of free particles are covered: bradyons (eps^2 = k^2 + m^2),
 pseudotachyons (eps^2 = k^2 - m^2, which forces |p| >= m in every frame), and
 massless luxons (eps = k).  The pseudotachyon point eps = 0, k = m (the
-"transcendent" state) is fully supported.
+"transcendent" state) is fully supported.  The dispersion speeds at fixed
+energy have one implementation, a law over arrays of energies: `speeds` is
+that law at one energy and `dispersion_table` returns its columns over a grid.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -100,20 +103,6 @@ def energy_from_momentum(species: Species, k: float, m: float) -> float:
     raise ValueError(f"unknown species {species!r}")
 
 
-@dataclass(frozen=True)
-class MassShell:
-    """A validated (species, m, k, eps) point."""
-
-    species: Species
-    m: float
-    k: float
-    epsilon: float
-
-    @classmethod
-    def from_momentum(cls, species: Species, k: float, m: float) -> "MassShell":
-        return cls(species, m, k, energy_from_momentum(species, k, m))
-
-
 def dual_momentum(p: FourVector) -> FourVector:
     """The dual (k; eps p / k) of p = (eps; p), swapping eps and k.
 
@@ -140,22 +129,50 @@ class SpeedTriple(NamedTuple):
     w: Optional[float]
 
 
+class DispersionTable(NamedTuple):
+    """The dispersion-law speeds as columns over an array of energies.
+
+    u is absent where eps < m or eps = 0 and w where eps = 0; `has_u` and
+    `has_w` flag the present entries, and absent ones hold NaN.
+    """
+
+    epsilon: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    has_u: np.ndarray
+    has_w: np.ndarray
+
+
+def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
+    """The speeds at energies eps >= 0 (no -0.0) and masses m >= 0, one m or
+    one per energy.
+
+    Entry by entry these are the operations of the scalar law: v = eps/h and
+    w = h/eps with h = math.hypot(eps, m) (np.hypot differs from it in the
+    last ulp on some inputs), u = sqrt(eps - m) sqrt(eps + m) / eps, and
+    u = v = w = 1 at m = 0.  Overflow leaves inf or NaN in a present entry.
+    """
+    ms = itertools.repeat(m) if np.ndim(m) == 0 else np.asarray(m).tolist()
+    h = np.fromiter(map(math.hypot, eps.tolist(), ms), dtype=float, count=eps.size)
+    has_u = ~((eps < m) | (eps == 0.0))
+    has_w = eps != 0.0
+    massless = m == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.sqrt(np.maximum(eps - m, 0.0)) * np.sqrt(eps + m) / eps
+        v = np.where(massless, 1.0, eps / h)
+        w = h / eps
+    u = np.where(has_u, np.where(massless, 1.0, u), np.nan)
+    w = np.where(has_w, np.where(massless, 1.0, w), np.nan)
+    return DispersionTable(eps, u, v, w, has_u, has_w)
+
+
 def speeds(epsilon: float, m: float) -> SpeedTriple:
-    if epsilon < 0 or m < 0:
-        raise ValueError("epsilon and m must be non-negative")
-    if epsilon == 0.0:
-        # v -> 0 on any massive shell; the massless point is the luxon c.
-        v = 1.0 if m == 0.0 else 0.0
-        return SpeedTriple(u=None, v=v, w=None)
-    if m == 0.0:
-        return SpeedTriple(u=1.0, v=1.0, w=1.0)
-    v = epsilon / math.hypot(epsilon, m)
-    w = math.hypot(epsilon, m) / epsilon
-    if epsilon >= m:
-        u = math.sqrt(max(epsilon - m, 0.0)) * math.sqrt(epsilon + m) / epsilon
-    else:
-        u = None
-    return SpeedTriple(u=u, v=v, w=w)
+    if not (0 <= epsilon < math.inf and 0 <= m < math.inf):
+        raise ValueError(f"epsilon and m must be finite and non-negative, got {epsilon}, {m}")
+    t = _speed_columns(np.array([epsilon + 0.0]), m)
+    return SpeedTriple(u=float(t.u[0]) if t.has_u[0] else None, v=float(t.v[0]),
+                       w=float(t.w[0]) if t.has_w[0] else None)
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -200,36 +217,24 @@ def boost(p: FourVector, axis, rapidity: float) -> FourVector:
     return FourVector.from_array(_boost_arrays(p.as_array(), _unit_axis(axis), rapidity))
 
 
-def boost_matrix(axis, rapidity: float) -> np.ndarray:
-    """The 4x4 matrix of `boost` acting on (e; p) columns."""
-    n = _unit_axis(axis)
-    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-    L = np.eye(4)
-    L[0, 0] = ch
-    L[0, 1:] = -sh * n
-    L[1:, 0] = -sh * n
-    L[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
-    return L
-
-
-class DispersionRow(NamedTuple):
-    epsilon: float
-    u: Optional[float]
-    v: float
-    w: Optional[float]
-
-
 def dispersion_table(m: float, eps_min: float, eps_max: float,
-                     steps: int) -> list[DispersionRow]:
-    """Evenly spaced energy grid with the three dispersion-law speeds."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if not (0 <= eps_min < eps_max):
-        raise ValueError(f"need 0 <= eps_min < eps_max, got [{eps_min}, {eps_max}]")
+                     steps: int) -> DispersionTable:
+    """Evenly spaced energy grid with the three dispersion-law speeds.
+
+    Raises ValueError when a present speed is not finite, that is when the
+    grid reaches energies whose speeds are out of floating-point range.
+    """
+    if not 0 <= m < math.inf:
+        raise ValueError(f"m must be finite and non-negative, got {m}")
+    if not (0 <= eps_min < eps_max < math.inf):
+        raise ValueError(f"need 0 <= eps_min < eps_max < inf, got [{eps_min}, {eps_max}]")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    rows = []
-    for eps in np.linspace(eps_min, eps_max, steps):
-        s = speeds(float(eps), m)
-        rows.append(DispersionRow(float(eps), s.u, s.v, s.w))
-    return rows
+    table = _speed_columns(np.linspace(eps_min, eps_max, steps) + 0.0, m)  # -0.0 -> 0.0
+    finite = (np.isfinite(table.v) & (np.isfinite(table.u) | ~table.has_u)
+              & (np.isfinite(table.w) | ~table.has_w))
+    if not finite.all():
+        eps = float(table.epsilon[np.argmin(finite)])
+        raise ValueError(f"dispersion speeds at epsilon = {eps!r} (m = {m!r}) "
+                         "are out of floating-point range")
+    return table

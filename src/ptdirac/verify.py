@@ -3,12 +3,13 @@
 Each check draws its randomness per trial from (seed, group id, trial index),
 so reports are bit-identical for a fixed seed regardless of execution order,
 and individual trials can be replayed in isolation.  The spinor, observable
-and symmetry groups (and the kinematics boost checks) first draw every
-trial's inputs, trial by trial, and then evaluate each check as array passes
-over all trials at once, one pass per set of spec labels.  A check passes when its worst residual over all trials
-stays at or below the tolerance it was run with; the worst residual is NaN
-when any residual is, so a NaN never passes.  The acceptance tests re-run the
-same checks against the per-invariant tolerances they pin.
+and symmetry groups (and the kinematics speed and boost checks) first draw
+every trial's inputs, trial by trial, and then evaluate each check as array
+passes over all trials at once, one pass per set of spec labels.  A check
+passes when its worst residual over all trials stays at or below the
+tolerance it was run with; the worst residual is NaN when any residual is,
+so a NaN never passes.  The acceptance tests re-run the same checks against
+the per-invariant tolerances they pin.
 """
 from __future__ import annotations
 
@@ -159,7 +160,7 @@ def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 
 def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     _check_trials(trials)
-    shell, dual, speed, boosts, axes, rapidities = [], [], [], [], [], []
+    shell, dual, energies, boosts, axes, rapidities = [], [], [], [], [], []
     for i in range(trials):
         rng = trial_rng(seed, "kinematics", i)
         m = float(rng.uniform(0.2, 3.0))
@@ -192,20 +193,19 @@ def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         e1 = float(rng.uniform(0.01, 10.0))
         e2 = e1 * float(rng.uniform(1.0001, 2.0))
         mm = float(rng.uniform(0.1, 3.0))
-        s1, s2 = kinematics.speeds(e1, mm), kinematics.speeds(e2, mm)
-        # max(x, 0.0), not max(0.0, x): Python's max keeps its first
-        # argument when the comparison fails, so this keeps a NaN x
-        speed += [max(-s1.v, 0.0), max(s1.v - 1.0, 0.0), max(1.0 - s1.w, 0.0)]
-        if s1.u is not None:
-            speed += [max(-s1.u, 0.0), max(s1.u - 1.0, 0.0)]
-        speed.append(max(s1.v - s2.v, 0.0))     # v strictly increasing
-        speed.append(abs(s1.v * s1.w - 1.0))
+        energies.append((e1, e2, mm))
 
         boosts.append((eps, *(k * random_direction(rng))))
         axes.append(random_direction(rng))
         rapidities.append((float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))))
 
-    # the boost checks run as array passes over every trial
+    # the speed and boost checks run as array passes over every trial
+    e1, e2, mm = np.array(energies).T
+    s1, s2 = kinematics._speed_columns(e1, mm), kinematics._speed_columns(e2, mm)
+    speed = [np.maximum(-s1.v, 0.0), np.maximum(s1.v - 1.0, 0.0), np.maximum(1.0 - s1.w, 0.0),
+             np.maximum(-s1.u[s1.has_u], 0.0), np.maximum(s1.u[s1.has_u] - 1.0, 0.0),
+             np.maximum(s1.v - s2.v, 0.0),      # v strictly increasing
+             np.abs(s1.v * s1.w - 1.0)]
     p4, n = np.array(boosts).reshape(-1, 4), kinematics._unit_axis(np.array(axes).reshape(-1, 3))
     z1, z2 = np.array(rapidities).reshape(-1, 2).T
     q = kinematics._boost_arrays(p4, n, z1)

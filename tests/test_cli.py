@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ptdirac import cli
 
@@ -75,6 +80,98 @@ def test_dispersion_bad_range(capsys):
     code, _, err = run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10",
                             "--steps", "1")
     assert code == 2
+
+
+def reference_csv(m, eps_min, eps_max, steps, precision):
+    """The table row by row with the scalar speed law, or None when a present
+    field is not finite."""
+    lines = ["epsilon,u_bradyon,v_pt,w_tachyon"]
+    for eps in np.linspace(eps_min, eps_max, steps).tolist():
+        u = w = None
+        if eps == 0.0:
+            v = 1.0 if m == 0.0 else 0.0
+        elif m == 0.0:
+            u = v = w = 1.0
+        else:
+            h = math.hypot(eps, m)
+            v, w = eps / h, h / eps
+            if eps >= m:
+                u = math.sqrt(max(eps - m, 0.0)) * math.sqrt(eps + m) / eps
+        fields = (eps, u, v, w)
+        if not all(math.isfinite(x) for x in fields if x is not None):
+            return None
+        lines.append(",".join("" if x is None else f"{x + 0.0:.{precision}g}"
+                              for x in fields))
+    return "\n".join(lines) + "\n"
+
+
+def dispersion_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(m=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+       # the range in units of m (of 1 at m = 0): below, across or above m
+       x=st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=3.0)),
+                  min_size=2, max_size=2, unique=True).map(sorted),
+       steps=st.integers(min_value=2, max_value=300),
+       precision=st.integers(min_value=3, max_value=17))
+@settings(max_examples=200, deadline=None)
+def test_dispersion_bytes_match_the_row_reference(m, x, steps, precision):
+    scale = m if m > 0 else 1.0
+    eps_min, eps_max = scale * x[0], scale * x[1]
+    assume(eps_min < eps_max)
+    code, out, err = dispersion_output(
+        ["dispersion", "--mass", repr(m), "--eps-min", repr(eps_min), "--eps-max",
+         repr(eps_max), "--steps", str(steps), "--precision", str(precision)])
+    expected = reference_csv(m, eps_min, eps_max, steps, precision)
+    if expected is None:
+        assert (code, out) == (2, "") and "out of floating-point range" in err
+    else:
+        assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize("m, eps_min, eps_max, steps, precision", [
+    (2.0, -0.0, 3.0, 9, 9),                          # -0.0 prints as 0
+    (0.0, 0.0, 5e-324, 4, 9),                        # repeated zero rows
+    (3.0, 3.0, 10.0, 50, 17),                        # eps_min = m exactly
+    (7.0, 0.0, 21.0, 2 * cli.CHUNK_ROWS + 17, 12),   # longer than one chunk
+], ids=["minus-zero", "zero-rows", "eps-min-at-m", "chunks"])
+def test_dispersion_edge_bytes_to_stdout_and_file(tmp_path, m, eps_min, eps_max, steps,
+                                                  precision):
+    argv = ["dispersion", "--mass", repr(m), "--eps-min", repr(eps_min), "--eps-max",
+            repr(eps_max), "--steps", str(steps), "--precision", str(precision)]
+    expected = reference_csv(m, eps_min, eps_max, steps, precision)
+    assert dispersion_output(argv) == (0, expected, "")
+    target = tmp_path / "table.csv"
+    assert dispersion_output(argv + ["--out", str(target)]) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
+OUT_OF_RANGE = [
+    ["--mass", "3", "--eps-max", "1e-320", "--steps", "3"],        # w = inf
+    ["--mass", "1e308", "--eps-max", "1e308", "--steps", "2"],     # u = nan
+    ["--mass", "1e308", "--eps-max", "1.7e308", "--steps", "4"],   # u = w = inf
+]
+
+
+@pytest.mark.parametrize("args", OUT_OF_RANGE, ids=["w-inf", "u-nan", "u-w-inf"])
+def test_dispersion_out_of_range_is_usage_error(args):
+    proc = run_proc("dispersion", *args, env_extra={"PYTHONWARNINGS": "error"})
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr and b"Warning" not in proc.stderr
+    assert b"out of floating-point range" in proc.stderr
+
+
+@pytest.mark.parametrize("args", OUT_OF_RANGE, ids=["w-inf", "u-nan", "u-w-inf"])
+def test_dispersion_out_of_range_does_not_open_the_output(tmp_path, capsys, args):
+    target = tmp_path / "table.csv"
+    code, out, err = run_main(capsys, "dispersion", *args, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert not target.exists()
 
 
 # --------------------------------------------------------------------- spinor

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptdirac.kinematics import (
-    DispersionRow,
     FourVector,
     MassNotZero,
-    MassShell,
     NonPhysicalMomentum,
     Species,
     ZeroMomentum,
     boost,
-    boost_matrix,
     dispersion_table,
     dual_momentum,
     energy_from_momentum,
@@ -48,8 +46,7 @@ def test_luxon_with_mass_raises():
 
 
 def test_mass_shell_constructor():
-    shell = MassShell.from_momentum(Species.PSEUDOTACHYON, 5.0, 3.0)
-    assert shell.epsilon == pytest.approx(4.0, abs=1e-14)
+    assert energy_from_momentum(Species.PSEUDOTACHYON, 5.0, 3.0) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_minkowski_dot_spots():
@@ -199,7 +196,11 @@ def test_boost_matrix_matches_boost(rng):
     p = FourVector(*rng.normal(size=4))
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    L = boost_matrix(axis, 0.8)
+    ch, sh = math.cosh(0.8), math.sinh(0.8)
+    L = np.eye(4)
+    L[0, 0] = ch
+    L[0, 1:] = L[1:, 0] = -sh * axis
+    L[1:, 1:] += (ch - 1.0) * np.outer(axis, axis)
     assert np.allclose(L @ p.as_array(), boost(p, axis, 0.8).as_array(), atol=1e-13)
 
 
@@ -209,25 +210,55 @@ def test_four_vector_rejects_non_finite():
 
 
 def test_dispersion_table_row_at_four():
-    rows = dispersion_table(3.0, 0.0, 10.0, 11)
-    row = rows[4]
-    assert row.epsilon == 4.0
-    assert abs(row.u - 0.661437828) <= 1e-9
-    assert abs(row.v - 0.8) <= 1e-15
-    assert abs(row.w - 1.25) <= 1e-15
+    table = dispersion_table(3.0, 0.0, 10.0, 11)
+    assert table.epsilon[4] == 4.0
+    assert table.has_u[4] and table.has_w[4]
+    assert abs(table.u[4] - 0.661437828) <= 1e-9
+    assert abs(table.v[4] - 0.8) <= 1e-15
+    assert abs(table.w[4] - 1.25) <= 1e-15
 
 
 def test_dispersion_table_zero_energy_row():
-    row = dispersion_table(3.0, 0.0, 10.0, 11)[0]
-    assert row == DispersionRow(0.0, None, 0.0, None)
+    table = dispersion_table(3.0, 0.0, 10.0, 11)
+    assert table.epsilon[0] == 0.0
+    assert not table.has_u[0] and not table.has_w[0]
+    assert math.isnan(table.u[0]) and math.isnan(table.w[0])
+    assert table.v[0] == 0.0
+    # u appears at eps = m = 3, w at the first nonzero energy
+    assert table.has_u.tolist() == [False] * 3 + [True] * 8
+    assert table.has_w.tolist() == [False] + [True] * 10
 
 
 def test_dispersion_table_newtonian_regime():
     """At energies far below the mass the tachyonic speed is eps/m."""
     m = 3.0
-    for row in dispersion_table(m, m / 1e4, m / 100.0, 7):
-        expected = row.epsilon / m
-        assert abs(row.v - expected) / expected <= 0.01
+    table = dispersion_table(m, m / 1e4, m / 100.0, 7)
+    expected = table.epsilon / m
+    assert np.all(np.abs(table.v - expected) / expected <= 0.01)
+
+
+@pytest.mark.parametrize("m, eps_min, eps_max, steps, m_eps", [
+    (3.0, 0.0, 1e-320, 3, 5e-321),            # h / eps overflows: w = inf
+    (1e308, 0.0, 1e308, 2, 1e308),            # 0 * sqrt(2e308): u = nan
+    (1e308, 0.0, 1.7e308, 4, 1.1333333333333334e308),  # u = inf, w = inf
+], ids=["w-overflow", "u-nan", "u-w-overflow"])
+def test_dispersion_table_out_of_range_speeds_raise(m, eps_min, eps_max, steps, m_eps):
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with pytest.raises(ValueError, match=re.escape(f"epsilon = {m_eps!r} ")
+                           + ".*out of floating-point range"):
+            dispersion_table(m, eps_min, eps_max, steps)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.0, 1e-300, 2.0, 3.0, 3.0000000000000004, 7.5, 1e300])
+@pytest.mark.parametrize("m", [0.0, 3.0])
+def test_speeds_equal_the_table_columns(eps, m):
+    """`speeds` is the column law at one energy, absent entries included."""
+    s = speeds(eps, m)
+    t = dispersion_table(m, eps, max(2 * eps, 1.0), 2)
+    assert (s.u is None) == (not t.has_u[0]) and (s.w is None) == (not t.has_w[0])
+    assert [s.u, s.v, s.w] == [t.u[0] if t.has_u[0] else None, t.v[0],
+                               t.w[0] if t.has_w[0] else None]
+    assert math.copysign(1.0, s.v) == 1.0
 
 
 def test_dispersion_table_invalid_ranges():
@@ -237,3 +268,14 @@ def test_dispersion_table_invalid_ranges():
         dispersion_table(3.0, -1.0, 2.0, 4)
     with pytest.raises(ValueError):
         dispersion_table(3.0, 0.0, 2.0, 1)
+    with pytest.raises(ValueError, match="finite"):
+        dispersion_table(math.nan, 0.0, 2.0, 4)
+    with pytest.raises(ValueError):
+        dispersion_table(3.0, 0.0, math.inf, 4)
+
+
+@pytest.mark.parametrize("eps, m", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                    (1.0, math.inf), (-1.0, 1.0)])
+def test_speeds_reject_non_finite_or_negative(eps, m):
+    with pytest.raises(ValueError):
+        speeds(eps, m)

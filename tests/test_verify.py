@@ -32,17 +32,34 @@ def test_nan_residual_of_one_batched_trial_fails(monkeypatch):
     assert verify.format_report(report).endswith("RESULT: FAIL (31/32 checks)")
 
 
+def test_nan_in_one_row_of_the_speed_law_fails(monkeypatch):
+    real = kinematics._speed_columns
+
+    def nan_in_row_5(eps, m):
+        table = real(eps, m)
+        table.v[5:6] = math.nan
+        return table
+
+    monkeypatch.setattr(kinematics, "_speed_columns", nan_in_row_5)
+    check = by_name(verify.kinematics_checks(SEED, TRIALS, TOL))["kinematics.speeds"]
+    assert math.isnan(check.max_residual)
+    assert not check.passed
+    assert not verify.run_all(SEED, TRIALS, TOL).passed
+
+
 def test_nan_residual_of_one_scalar_trial_fails(monkeypatch):
-    real = kinematics.speeds
+    real = kinematics.dual_momentum
     calls = []
 
-    def nan_speed_in_trial_5(epsilon, m):
+    def nan_dual_on_call_5(p):
         calls.append(None)
-        s = real(epsilon, m)
-        return s._replace(v=math.nan) if len(calls) == 11 else s
+        d = real(p)
+        if len(calls) == 5:
+            object.__setattr__(d, "e", math.nan)  # FourVector rejects NaN on construction
+        return d
 
-    monkeypatch.setattr(kinematics, "speeds", nan_speed_in_trial_5)
-    check = by_name(verify.kinematics_checks(SEED, TRIALS, TOL))["kinematics.speeds"]
+    monkeypatch.setattr(kinematics, "dual_momentum", nan_dual_on_call_5)
+    check = by_name(verify.kinematics_checks(SEED, TRIALS, TOL))["kinematics.dual_momentum"]
     assert math.isnan(check.max_residual)
     assert not check.passed
     calls.clear()
