@@ -173,35 +173,6 @@ def representation_change() -> np.ndarray:
     return w
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a) + np.asarray(b)
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a) @ np.asarray(b)
-
-
-def scale(c: complex, m: np.ndarray) -> np.ndarray:
-    return c * np.asarray(m)
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix times bispinor."""
-    return np.asarray(m) @ np.asarray(v)
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a

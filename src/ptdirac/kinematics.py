@@ -81,13 +81,19 @@ def minkowski_dot(a, b):
             - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
 
-def energy_from_momentum(species: Species, k: float, m: float) -> float:
+def energy_from_momentum(species: Species, k, m):
     """Positive energy on the shell of the given species.
 
     The pseudotachyon branch is evaluated as sqrt(k - m) * sqrt(k + m), which
     is exact at the transcendent point k = m and avoids the cancellation in
-    sqrt(k^2 - m^2) near it.
+    sqrt(k^2 - m^2) near it.  ``k`` is a float, or an array (with ``m`` one
+    mass or an array of the same shape) for one energy per entry; the array
+    path runs the same operations entry by entry (hypot through
+    ``math.hypot``), so both give bit-identical energies.
     """
+    if isinstance(k, np.ndarray):
+        return _shell_energies(species, *np.broadcast_arrays(k.astype(float, copy=False),
+                                                            np.asarray(m, dtype=float)))
     if k < 0 or m < 0:
         raise ValueError("k and m must be non-negative")
     if species is Species.BRADYON:
@@ -103,13 +109,43 @@ def energy_from_momentum(species: Species, k: float, m: float) -> float:
     raise ValueError(f"unknown species {species!r}")
 
 
-def dual_momentum(p: FourVector) -> FourVector:
+def _shell_energies(species: Species, k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """`energy_from_momentum` of same-shape arrays, raising for the first
+    entry the scalar law rejects."""
+    if np.any(k < 0) or np.any(m < 0):
+        raise ValueError("k and m must be non-negative")
+    if species is Species.BRADYON:
+        return np.fromiter(map(math.hypot, k.ravel().tolist(), m.ravel().tolist()),
+                           dtype=float, count=k.size).reshape(k.shape)
+    if species is Species.LUXON:
+        if np.any(m != 0.0):
+            raise MassNotZero(f"luxon requires m = 0, got m = {m[m != 0.0][0]}")
+        return k.copy()
+    if species is Species.PSEUDOTACHYON:
+        below = k < m * (1.0 - SHELL_RTOL)
+        if below.any():
+            raise NonPhysicalMomentum(f"|p| = {k[below][0]} < m = {m[below][0]}")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, as the scalar law
+            return np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k + m)
+    raise ValueError(f"unknown species {species!r}")
+
+
+def dual_momentum(p):
     """The dual (k; eps p / k) of p = (eps; p), swapping eps and k.
 
-    Satisfies p.dual(p) = 0 and dual(p)^2 = -p^2.  The definition is
-    componentwise in the given frame; it is not claimed (nor tested) to
-    transform as a four-vector under boosts that are not collinear with p.
+    Satisfies p.dual(p) = 0 and dual(p)^2 = -p^2.  ``p`` is a FourVector, or
+    an array whose last axis holds (e, px, py, pz), dualized row by row.  The
+    definition is componentwise in the given frame; it is not claimed (nor
+    tested) to transform as a four-vector under boosts that are not collinear
+    with p.
     """
+    if not isinstance(p, FourVector):
+        p = np.asarray(p, dtype=float)
+        k = np.linalg.norm(p[..., 1:], axis=-1)
+        if np.any(k == 0.0):
+            raise ZeroMomentum("dual momentum undefined at |p| = 0")
+        return np.concatenate([k[..., None], (p[..., 0] / k)[..., None] * p[..., 1:]],
+                              axis=-1)
     k = p.k
     if k == 0.0:
         raise ZeroMomentum("dual momentum undefined at |p| = 0")

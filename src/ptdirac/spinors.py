@@ -20,6 +20,7 @@ with no 0/0 anywhere.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -85,13 +86,34 @@ def helicity_spinor(direction, lam: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizationContext:
-    """Quantization volume for the one-particle-in-V normalization."""
+    """Quantization volume for the one-particle-in-V normalization: one
+    volume, or an array of them, one per spec of a group."""
 
     volume: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.volume) and self.volume > 0):
+        v = np.asarray(self.volume)
+        if not (np.isfinite(v).all() and (v > 0).all()):
             raise ValueError(f"volume must be finite and positive, got {self.volume}")
+
+
+_ZERO_MOMENTUM = "plane-wave spec needs |p| > 0 (helicity direction)"
+
+
+def _check_labels(energy_sign: int, helicity: int):
+    if energy_sign not in (1, -1):
+        raise ValueError(f"energy_sign must be +1 or -1, got {energy_sign}")
+    if helicity not in (1, -1):
+        raise ValueError(f"helicity must be +1 or -1, got {helicity}")
+
+
+def _out_of_range(species: Species, target) -> ValueError:
+    # the norm target 2 max(k, eps) (`norm_convention` of every species)
+    # bounds every sum under the square roots of the block factors (k + m,
+    # k + eps, eps + m), up to the SHELL_RTOL slack of m over k, so it is the
+    # one range to check
+    return ValueError(f"{species.value} plane wave out of floating-point range: "
+                      f"norm target w^dag w = {float(target)!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +124,8 @@ class PlaneWaveSpec:
     v-amplitude (wave e^{+ipx}, physical momentum -p).  ``helicity`` is the
     label lambda; the actual helicity eigenvalue of the amplitude is
     ``helicity_eigenvalue`` = energy_sign * helicity.  |p| and the shell
-    energy are computed once, at construction.
+    energy are computed once, at construction, which raises ValueError when
+    the norm target (`norm_convention`) leaves the floating-point range.
     """
 
     species: Species
@@ -113,22 +136,23 @@ class PlaneWaveSpec:
     rep: Representation = Representation.STANDARD
 
     def __post_init__(self):
-        if self.energy_sign not in (1, -1):
-            raise ValueError(f"energy_sign must be +1 or -1, got {self.energy_sign}")
-        if self.helicity not in (1, -1):
-            raise ValueError(f"helicity must be +1 or -1, got {self.helicity}")
-        object.__setattr__(self, "momentum", tuple(float(c) for c in self.momentum))
-        if len(self.momentum) != 3 or not all(math.isfinite(c) for c in self.momentum):
+        _check_labels(self.energy_sign, self.helicity)
+        object.__setattr__(self, "momentum", tuple(map(float, self.momentum)))
+        if len(self.momentum) != 3 or not all(map(math.isfinite, self.momentum)):
             raise ValueError("momentum must be three finite components")
         if not (math.isfinite(self.mass) and self.mass >= 0):
             raise ValueError(f"mass must be finite and non-negative, got {self.mass}")
         # scaled norm: neither overflows at 1e200 nor underflows at 1e-300
         k = math.hypot(*self.momentum)
         if k == 0.0:
-            raise ZeroMomentum("plane-wave spec needs |p| > 0 (helicity direction)")
+            raise ZeroMomentum(_ZERO_MOMENTUM)
         object.__setattr__(self, "_k", k)
         # shell validation (raises NonPhysicalMomentum / MassNotZero)
-        object.__setattr__(self, "_epsilon", energy_from_momentum(self.species, k, self.mass))
+        eps = energy_from_momentum(self.species, k, self.mass)
+        object.__setattr__(self, "_epsilon", eps)
+        target = 2.0 * max(k, eps)
+        if not math.isfinite(target):
+            raise _out_of_range(self.species, target)
 
     @property
     def k(self) -> float:
@@ -174,6 +198,29 @@ class SpecGroup:
     @property
     def helicity_eigenvalue(self) -> int:
         return self.energy_sign * self.helicity
+
+    @classmethod
+    def from_arrays(cls, species: Species, energy_sign: int, helicity: int,
+                    rep: Representation, momentum, mass, rows) -> "SpecGroup":
+        """The group of specs with momenta ``momentum`` (n, 3) and masses
+        ``mass`` (n,), validated as `PlaneWaveSpec` validates each spec, with
+        |p| and the shell energy by the same laws (bit-identical to it)."""
+        _check_labels(energy_sign, helicity)
+        p, m = np.asarray(momentum, dtype=float), np.asarray(mass, dtype=float)
+        if p.ndim != 2 or p.shape[1] != 3 or not np.isfinite(p).all():
+            raise ValueError("momentum must be rows of three finite components")
+        if m.shape != p.shape[:1] or not (np.isfinite(m) & (m >= 0)).all():
+            raise ValueError("mass must be finite and non-negative, one per momentum")
+        k = np.fromiter(itertools.starmap(math.hypot, p.tolist()), dtype=float, count=len(p))
+        if not k.all():
+            raise ZeroMomentum(_ZERO_MOMENTUM)
+        eps = energy_from_momentum(species, k, m)
+        with np.errstate(over="ignore"):
+            target = 2.0 * np.maximum(k, eps)
+        if not np.isfinite(target).all():
+            raise _out_of_range(species, target[~np.isfinite(target)][0])
+        return cls(species, energy_sign, helicity, rep, rows=np.asarray(rows), momentum=p,
+                   k=k, mass=m, epsilon=eps)
 
 
 def spec_groups(specs) -> list[SpecGroup]:
@@ -360,10 +407,10 @@ def norm_convention(spec):
     return 2.0 * spec.k
 
 
-def normalization_factor(spec: PlaneWaveSpec,
-                         ctx: NormalizationContext = NormalizationContext()) -> float:
-    """N with N^2 (w^dag w) = 1/V: 1/sqrt(2kV) tachyonic, 1/sqrt(2 eps V) bradyon."""
-    return 1.0 / math.sqrt(norm_convention(spec) * ctx.volume)
+def normalization_factor(spec, ctx: NormalizationContext = NormalizationContext()):
+    """N with N^2 (w^dag w) = 1/V: 1/sqrt(2kV) tachyonic, 1/sqrt(2 eps V) bradyon,
+    of a spec, or of each spec of a group."""
+    return 1.0 / np.sqrt(norm_convention(spec) * ctx.volume)
 
 
 def convert_representation(b: np.ndarray, from_rep: Representation,

@@ -1,15 +1,17 @@
 """Seeded residual suites over every invariant the library promises.
 
-Each check draws its randomness per trial from (seed, group id, trial index),
-so reports are bit-identical for a fixed seed regardless of execution order,
-and individual trials can be replayed in isolation.  The spinor, observable
-and symmetry groups (and the kinematics speed and boost checks) first draw
-every trial's inputs, trial by trial, and then evaluate each check as array
-passes over all trials at once, one pass per set of spec labels.  A check
-passes when its worst residual over all trials stays at or below the
-tolerance it was run with; the worst residual is NaN when any residual is,
-so a NaN never passes.  The acceptance tests re-run the same checks against
-the per-invariant tolerances they pin.
+Each group draws its inputs as row-major blocks of uniform numbers, shape
+(trials, width), one block per generator keyed by (seed, group id, stream):
+stream 0 holds the plane-wave specs, stream 1 every other input.  Trial i is
+row i of each block, so its inputs do not depend on the number of trials and
+a report is bit-identical for a fixed seed and trial count.  A trial can be
+replayed in isolation: a block's generator is PCG64 and each uniform takes
+one 64-bit step, so advancing a fresh generator by i * width steps gives row
+i.  Every check runs as array passes over all trials, one pass per set of
+spec labels.  A check passes when its worst residual over all trials stays
+at or below the tolerance it was run with; the worst residual is NaN when
+any residual is, so a NaN never passes.  The acceptance tests re-run the
+same checks against the per-invariant tolerances they pin.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import clifford, kinematics, observables, spinors, symmetries
 from .clifford import METRIC, PAULI, Representation, dagger, gamma_set
-from .kinematics import FourVector, Species, minkowski_dot
-from .spinors import NormalizationContext, PlaneWaveSpec
+from .kinematics import Species, minkowski_dot
+from .spinors import NormalizationContext, SpecGroup
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,28 @@ def _rows(op: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", op, w)
 
 
-def trial_rng(seed: int, group: str, index: int) -> np.random.Generator:
-    """Generator derived from (seed, group, trial index); order-independent."""
-    return np.random.default_rng((seed, zlib.crc32(group.encode("ascii")), index))
+_SPECS, _INPUTS = 0, 1   # the streams of a group
 
 
-def random_direction(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        n = rng.normal(size=3)
-        norm = np.linalg.norm(n)
-        if norm > 1e-3:
-            return n / norm
+def _uniforms(seed: int, group: str, stream: int, trials: int, width: int) -> np.ndarray:
+    """Uniforms in [0, 1) of one stream of one group, shape (trials, width),
+    returned transposed, one column per input: column j of row i is the
+    (i * width + j)-th draw of the stream."""
+    rng = np.random.default_rng((seed, zlib.crc32(group.encode("ascii")), stream))
+    return rng.random((trials, width)).T
+
+
+def _scaled(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return lo + (hi - lo) * u
+
+
+def _directions(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unit vectors (n, 3), uniform on the sphere: cos(theta) = 2u - 1 and
+    phi = 2 pi v."""
+    z = 2.0 * u - 1.0
+    rho = np.sqrt((1.0 - z) * (1.0 + z))
+    phi = 2.0 * np.pi * v
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
 _COMBOS = [(species, sign, lam, rep)
@@ -84,28 +97,34 @@ _COMBOS = [(species, sign, lam, rep)
            for rep in (Representation.STANDARD, Representation.WEYL)]
 
 
-def random_spec(rng: np.random.Generator, index: int, *,
-                massive_only: bool = False, modest_shells: bool = False) -> PlaneWaveSpec:
-    """One plane-wave spec cycling through species x sign x helicity x basis.
+def random_spec(seed: int, group: str, trials: int, *, massive_only: bool = False,
+                modest_shells: bool = False) -> list[SpecGroup]:
+    """The plane-wave specs of every trial, one group per set of labels.
 
+    Trial i takes its labels from species x sign x helicity x basis cycled by
+    i, and its masses and momenta from row i of the group's spec stream.
     Pseudotachyon shells span k in [m, 10m] and hit k = m exactly on a fixed
     subsequence; ``modest_shells`` caps the scales for checks whose absolute
     residuals grow with k^2/m.
     """
     combos = [c for c in _COMBOS if not (massive_only and c[0] is Species.LUXON)]
-    species, sign, lam, rep = combos[index % len(combos)]
     m_hi, k_fac = (2.0, 8.0) if modest_shells else (3.0, 10.0)
-    if species is Species.LUXON:
-        m, k = 0.0, float(rng.uniform(0.05, 10.0))
-    elif species is Species.PSEUDOTACHYON:
-        m = float(rng.uniform(0.2, m_hi))
-        k = m if (index // len(combos)) % 8 == 0 else m * float(rng.uniform(1.0, k_fac))
-    else:
-        m = float(rng.uniform(0.2, m_hi))
-        k = m * float(rng.uniform(0.02, k_fac))
-    p = k * random_direction(rng)
-    return PlaneWaveSpec(species=species, energy_sign=sign,
-                         momentum=(p[0], p[1], p[2]), mass=m, helicity=lam, rep=rep)
+    u_m, u_k, u_z, u_phi = _uniforms(seed, group, _SPECS, trials, 4)
+    n = _directions(u_z, u_phi)
+    groups = []
+    for j, (species, sign, lam, rep) in enumerate(combos[:trials]):
+        rows = np.arange(j, trials, len(combos))
+        m = _scaled(u_m[rows], 0.2, m_hi)
+        if species is Species.LUXON:
+            m, k = np.zeros(len(rows)), _scaled(u_k[rows], 0.05, 10.0)
+        elif species is Species.PSEUDOTACHYON:
+            transcendent = (rows // len(combos)) % 8 == 0
+            k = np.where(transcendent, m, m * _scaled(u_k[rows], 1.0, k_fac))
+        else:
+            k = m * _scaled(u_k[rows], 0.02, k_fac)
+        groups.append(SpecGroup.from_arrays(species, sign, lam, rep, k[:, None] * n[rows],
+                                            m, rows))
+    return groups
 
 
 # ---------------------------------------------------------------- clifford
@@ -113,13 +132,13 @@ def random_spec(rng: np.random.Generator, index: int, *,
 def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     _check_trials(trials)
     reps = (Representation.STANDARD, Representation.WEYL)
-    anti = []
-    for i in range(trials):
-        rng = trial_rng(seed, "clifford.anticommutation", i)
-        mu, nu = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        gs = gamma_set(reps[i % 2])
-        anti.append(np.linalg.norm(gs.gammas[mu] @ gs.gammas[nu] + gs.gammas[nu] @ gs.gammas[mu]
-                                   - 2.0 * METRIC[mu, nu] * np.eye(4)))
+    u_mu, u_nu = _uniforms(seed, "clifford.anticommutation", _INPUTS, trials, 2)
+    mu, nu = (4.0 * u_mu).astype(int), (4.0 * u_nu).astype(int)
+    stacks = np.stack([gamma_set(rep).stack for rep in reps])
+    basis = np.arange(trials) % 2
+    a, b = stacks[basis, mu], stacks[basis, nu]
+    anti = [np.linalg.norm(a @ b + b @ a - 2.0 * METRIC[mu, nu][:, None, None] * np.eye(4),
+                           axis=(1, 2))]
 
     herm, g5p, a5sq = [], [], []
     for rep in reps:
@@ -160,54 +179,51 @@ def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 
 def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     _check_trials(trials)
-    shell, dual, energies, boosts, axes, rapidities = [], [], [], [], [], []
-    for i in range(trials):
-        rng = trial_rng(seed, "kinematics", i)
-        m = float(rng.uniform(0.2, 3.0))
-        species = (Species.PSEUDOTACHYON, Species.BRADYON, Species.LUXON)[i % 3]
+    u_m, u_k, u_e1, u_e2, u_mm, u_z1, u_z2, *u_dirs = _uniforms(
+        seed, "kinematics", _INPUTS, trials, 13)
+    dual_dirs, boost_dirs, axes = (_directions(u_dirs[j], u_dirs[j + 1]) for j in (0, 2, 4))
+    species_of = np.arange(trials) % 3
+    k, eps = np.empty(trials), np.empty(trials)
+    shell = []
+    for s, species in enumerate((Species.PSEUDOTACHYON, Species.BRADYON, Species.LUXON)):
+        at = species_of == s
+        m = _scaled(u_m[at], 0.2, 3.0)
         if species is Species.LUXON:
-            m = 0.0
-            k = float(rng.uniform(0.05, 10.0))
+            m, k[at] = np.zeros_like(m), _scaled(u_k[at], 0.05, 10.0)
         elif species is Species.PSEUDOTACHYON:
-            k = m * float(rng.uniform(1.0, 10.0))
+            k[at] = m * _scaled(u_k[at], 1.0, 10.0)
         else:
             # sqrt(eps - m) reconstruction is conditioned by (m/k)^2
-            k = m * float(rng.uniform(0.1, 10.0))
-        eps = kinematics.energy_from_momentum(species, k, m)
+            k[at] = m * _scaled(u_k[at], 0.1, 10.0)
+        e = eps[at] = kinematics.energy_from_momentum(species, k[at], m)
         if species is Species.BRADYON:
-            k_back = np.sqrt(max(eps - m, 0.0)) * np.sqrt(eps + m)  # keeps a NaN eps
+            k_back = np.sqrt(np.maximum(e - m, 0.0)) * np.sqrt(e + m)  # keeps a NaN eps
         elif species is Species.PSEUDOTACHYON:
-            k_back = np.hypot(eps, m)
+            k_back = np.hypot(e, m)
         else:
-            k_back = eps
-        shell.append(abs(k_back - k) / k)
+            k_back = e
+        shell.append(np.abs(k_back - k[at]) / k[at])
 
-        if species is not Species.LUXON:
-            p4 = FourVector(eps, *(k * random_direction(rng)))
-            pd = kinematics.dual_momentum(p4)
-            p2 = minkowski_dot(p4, p4)
-            scale = max(1.0, abs(p2))
-            dual.append(abs(minkowski_dot(p4, pd)) / scale)
-            dual.append(abs(minkowski_dot(pd, pd) + p2) / scale)
+    massive = species_of != 2
+    pm = np.concatenate([eps[massive, None], k[massive, None] * dual_dirs[massive]], axis=1)
+    pd = kinematics.dual_momentum(pm)
+    pm2 = minkowski_dot(pm, pm)
+    dual_scale = np.maximum(1.0, np.abs(pm2))
+    dual = [np.abs(minkowski_dot(pm, pd)) / dual_scale,
+            np.abs(minkowski_dot(pd, pd) + pm2) / dual_scale]
 
-        e1 = float(rng.uniform(0.01, 10.0))
-        e2 = e1 * float(rng.uniform(1.0001, 2.0))
-        mm = float(rng.uniform(0.1, 3.0))
-        energies.append((e1, e2, mm))
-
-        boosts.append((eps, *(k * random_direction(rng))))
-        axes.append(random_direction(rng))
-        rapidities.append((float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))))
-
-    # the speed and boost checks run as array passes over every trial
-    e1, e2, mm = np.array(energies).T
+    e1 = _scaled(u_e1, 0.01, 10.0)
+    e2 = e1 * _scaled(u_e2, 1.0001, 2.0)
+    mm = _scaled(u_mm, 0.1, 3.0)
     s1, s2 = kinematics._speed_columns(e1, mm), kinematics._speed_columns(e2, mm)
     speed = [np.maximum(-s1.v, 0.0), np.maximum(s1.v - 1.0, 0.0), np.maximum(1.0 - s1.w, 0.0),
              np.maximum(-s1.u[s1.has_u], 0.0), np.maximum(s1.u[s1.has_u] - 1.0, 0.0),
              np.maximum(s1.v - s2.v, 0.0),      # v strictly increasing
              np.abs(s1.v * s1.w - 1.0)]
-    p4, n = np.array(boosts).reshape(-1, 4), kinematics._unit_axis(np.array(axes).reshape(-1, 3))
-    z1, z2 = np.array(rapidities).reshape(-1, 2).T
+
+    p4 = np.concatenate([eps[:, None], k[:, None] * boost_dirs], axis=1)
+    n = kinematics._unit_axis(axes)
+    z1, z2 = _scaled(u_z1, -2.0, 2.0), _scaled(u_z2, -2.0, 2.0)
     q = kinematics._boost_arrays(p4, n, z1)
     p2 = minkowski_dot(p4, p4)
     # relative to the squared scale of the boosted components
@@ -230,28 +246,23 @@ def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 
 def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     _check_trials(trials)
-    specs, volumes = [], []
-    for i in range(trials):
-        rng = trial_rng(seed, "spinors", i)
-        specs.append(random_spec(rng, i))
-        volumes.append(float(rng.uniform(0.1, 10.0)))
-    n_fac = np.array([spinors.normalization_factor(s, NormalizationContext(volume=v))
-                      for s, v in zip(specs, volumes)])
-    volumes = np.array(volumes)
-    w_all = spinors.amplitudes(specs)
+    (u_volume,) = _uniforms(seed, "spinors", _INPUTS, trials, 1)
+    volumes = _scaled(u_volume, 0.1, 10.0)
     w_conv = clifford.representation_change()
     pauli = np.stack(PAULI)
 
     solution, norm, normid, hel, chir, transc, adjoint, repmap = ([] for _ in range(8))
-    for g in spinors.spec_groups(specs):
+    for g in random_spec(seed, "spinors", trials):
         gs = gamma_set(g.rep)
-        w = w_all[g.rows]
+        w = spinors.group_amplitudes(g)
         nw = np.linalg.norm(w, axis=1)
         n2 = np.einsum("ni,ni->n", w.conj(), w).real
         h = g.helicity_eigenvalue
         solution.append(spinors.solution_residual(g, w))
         norm.append(np.abs(n2 - spinors.norm_convention(g)))
-        normid.append(np.abs(n_fac[g.rows] ** 2 * n2 * volumes[g.rows] - 1.0))
+        ctx = NormalizationContext(volume=volumes[g.rows])
+        n_fac = spinors.normalization_factor(g, ctx)
+        normid.append(np.abs(n_fac ** 2 * n2 * ctx.volume - 1.0))
 
         lam_op = np.einsum("nj,jab->nab", g.momentum, gs.spin_stack) / g.k[:, None, None]
         hel.append(np.linalg.norm(_rows(lam_op, w) - h * w, axis=1) / nw)
@@ -297,13 +308,9 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 
 def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     _check_trials(trials)
-    specs = [random_spec(trial_rng(seed, "observables", i), i,
-                         massive_only=True, modest_shells=True) for i in range(trials)]
-    w_all = spinors.amplitudes(specs)
-
     dual, vclosed, vbar, sbar, cons, herm, eig = ([] for _ in range(7))
-    for g in spinors.spec_groups(specs):
-        w = w_all[g.rows]
+    for g in random_spec(seed, "observables", trials, massive_only=True, modest_shells=True):
+        w = spinors.group_amplitudes(g)
         b = observables.bilinears(w, g.rep)
         v = b[:, 1:4] / b[:, :1]
         if g.species is Species.PSEUDOTACHYON:
@@ -369,22 +376,15 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         pct.append(np.linalg.norm(
             symmetries.pct_product(symmetries.Sector.BRADYONIC, rep) - phase * inv_b))
 
-    specs, axes, zetas, generators, zetas2 = [], [], [], [], []
-    for i in range(trials):
-        rng = trial_rng(seed, "symmetries", i)
-        specs.append(random_spec(rng, i))
-        axes.append(random_direction(rng))
-        zetas.append(float(rng.uniform(-2, 2)))
-        a = rng.normal(size=(4, 4)) * 1e-3
-        generators.append(a - a.T)
-        zetas2.append(float(rng.uniform(-1, 1)))
-    axes, zetas = np.array(axes).reshape(-1, 3), np.array(zetas)
-    generators, zetas2 = np.array(generators).reshape(-1, 4, 4), np.array(zetas2)
-    w_all = spinors.amplitudes(specs)
+    u_z, u_phi, u_zeta, u_zeta2, *u_gen = _uniforms(seed, "symmetries", _INPUTS, trials, 20)
+    axes = _directions(u_z, u_phi)
+    zetas, zetas2 = _scaled(u_zeta, -2.0, 2.0), _scaled(u_zeta2, -1.0, 1.0)
+    a = _scaled(np.stack(u_gen, axis=1).reshape(-1, 4, 4), -1e-3, 1e-3)
+    generators = a - np.swapaxes(a, 1, 2)
 
     inter, bcov, g5comm, structure = [], [], [], []
-    for g in spinors.spec_groups(specs):
-        w = w_all[g.rows]
+    for g in random_spec(seed, "symmetries", trials):
+        w = spinors.group_amplitudes(g)
         for kind in symmetries.DiscreteKind:
             inter.append(symmetries.apply_discrete(kind, g, w)[1])
         n, z, z2 = axes[g.rows], zetas[g.rows], zetas2[g.rows]

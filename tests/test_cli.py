@@ -393,9 +393,18 @@ def test_dispersion_memory_error_is_usage_error(capsys, monkeypatch):
     assert "error: MemoryError" in err
 
 
-def test_spinor_non_finite_residual_fails(capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, _ = run_main(capsys, "spinor", "--species", "bradyon",
-                                "--momentum", "0,0,5", "--mass", "1e308")
+def test_spinor_non_finite_residual_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solution_residual", lambda spec, w: math.nan)
+    code, out, _ = run_main(capsys, "spinor", "--species", "pt",
+                            "--momentum", "0,0,5", "--mass", "3")
     assert code == 1
     assert "residual nan" in out
+
+
+def test_spinor_out_of_range_is_usage_error():
+    proc = run_proc("spinor", "--species", "bradyon", "--momentum", "0,0,5",
+                    "--mass", "1e308", env_extra={"PYTHONWARNINGS": "error"})
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr and b"Warning" not in proc.stderr
+    assert b"out of floating-point range" in proc.stderr

@@ -89,6 +89,46 @@ def test_dual_momentum_identities_random(rng):
         assert abs(minkowski_dot(d, d) + p2) / scale <= 1e-10
 
 
+def test_dual_momentum_rows_equal_the_four_vector_path(rng):
+    p = np.column_stack([rng.uniform(0.0, 5.0, 50), rng.normal(size=(50, 3))])
+    p[0] = (0.0, 0.0, 0.0, 3.0)
+    rows = dual_momentum(p)
+    assert rows.shape == (50, 4)
+    for row, q in zip(rows, p):
+        want = dual_momentum(FourVector.from_array(q)).as_array()
+        assert np.max(np.abs(row - want)) <= 4e-16 * np.max(np.abs(want))
+    with pytest.raises(ZeroMomentum):
+        dual_momentum(np.array([[1.0, 2.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("species", list(Species))
+def test_energy_from_momentum_over_arrays_is_the_scalar_law(species, rng):
+    if species is Species.LUXON:
+        m, k = np.zeros(40), rng.uniform(0.0, 9.0, 40)
+    else:
+        m = rng.uniform(0.2, 3.0, 40)
+        k = m * rng.uniform(1.0, 10.0, 40)
+    if species is Species.PSEUDOTACHYON:
+        k[:5] = m[:5]                      # the transcendent point
+        k[5] = m[5] * (1 - 1e-13)          # an ulp-scale shortfall still counts
+    eps = energy_from_momentum(species, k, m)
+    want = [energy_from_momentum(species, float(a), float(b)) for a, b in zip(k, m)]
+    assert eps.tobytes() == np.array(want).tobytes()
+    assert energy_from_momentum(species, k[:1], float(m[0])).tobytes() == eps[:1].tobytes()
+
+
+@pytest.mark.parametrize("species,k,m,error", [
+    (Species.PSEUDOTACHYON, [5.0, 2.0], [3.0, 3.0], NonPhysicalMomentum),
+    (Species.LUXON, [1.0, 2.0], [0.0, 1.0], MassNotZero),
+    (Species.BRADYON, [1.0, -2.0], [1.0, 1.0], ValueError),
+])
+def test_energy_from_momentum_over_arrays_rejects_like_the_scalar_law(species, k, m, error):
+    with pytest.raises(error):
+        energy_from_momentum(species, k[1], m[1])
+    with pytest.raises(error):
+        energy_from_momentum(species, np.array(k), np.array(m))
+
+
 def test_speeds_spot_values():
     s = speeds(4.0, 3.0)
     assert abs(s.u - math.sqrt(7.0) / 4.0) <= 1e-15

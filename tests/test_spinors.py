@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptdirac.clifford import PAULI, Representation, gamma_set, representation_change
-from ptdirac.kinematics import Species, ZeroMomentum
+from ptdirac.kinematics import MassNotZero, NonPhysicalMomentum, Species, ZeroMomentum
 from ptdirac.spinors import (
     NormalizationContext,
     PlaneWaveSpec,
+    SpecGroup,
     TranscendentDivision,
     amplitude,
     amplitude_from_spinor,
@@ -366,6 +368,49 @@ def test_extreme_momenta_construct_with_finite_amplitude(species, p, m, rep):
     assert np.all(np.isfinite(w))
     target = 2 * spec.epsilon if species is Species.BRADYON else 2 * spec.k
     assert abs(np.vdot(w, w).real - target) <= 1e-11 * target
+
+
+@pytest.mark.parametrize("species,p,m", [
+    (Species.BRADYON, (0.0, 0.0, 5.0), 1e308),          # 2 eps and eps + m overflow
+    (Species.PSEUDOTACHYON, (1e308, 1e308, 0.0), 1.0),  # 2k overflows
+    (Species.LUXON, (1.7e308, 0.0, 0.0), 0.0),
+], ids=["bradyon-m-1e308", "pt-k-1.4e308", "luxon-k-1.7e308"])
+def test_norm_target_out_of_range_is_a_range_error(species, p, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: PlaneWaveSpec(species, 1, p, m, 1),
+                      lambda: SpecGroup.from_arrays(species, 1, 1, STD, [(1.0, 0.0, 1.0), p],
+                                                    [m, m], [0, 1])):
+            with pytest.raises(ValueError, match="out of floating-point range") as info:
+                build()
+            assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("species,sign,p,m,lam,error", [
+    (Species.BRADYON, 0, (0.0, 0.0, 1.0), 1.0, 1, ValueError),
+    (Species.BRADYON, 1, (0.0, 0.0, 1.0), 1.0, 2, ValueError),
+    (Species.BRADYON, 1, (math.nan, 0.0, 1.0), 1.0, 1, ValueError),
+    (Species.BRADYON, 1, (0.0, 0.0, 1.0), -1.0, 1, ValueError),
+    (Species.BRADYON, 1, (0.0, 0.0, 1.0), math.inf, 1, ValueError),
+    (Species.BRADYON, 1, (0.0, 0.0, 0.0), 1.0, 1, ZeroMomentum),
+    (Species.PSEUDOTACHYON, 1, (0.0, 0.0, 1.0), 2.0, 1, NonPhysicalMomentum),
+    (Species.LUXON, 1, (0.0, 0.0, 1.0), 1.0, 1, MassNotZero),
+], ids=["sign", "helicity", "nan-momentum", "negative-mass", "inf-mass", "zero-momentum",
+        "below-shell", "luxon-mass"])
+def test_group_from_arrays_rejects_what_the_spec_rejects(species, sign, p, m, lam, error):
+    with pytest.raises(error):
+        PlaneWaveSpec(species, sign, p, m, lam)
+    good = (3.0, 0.0, 4.0)
+    with pytest.raises(error):
+        SpecGroup.from_arrays(species, sign, lam, STD, [good, p],
+                              [0.0 if species is Species.LUXON else 1.0, m], [0, 1])
+
+
+def test_group_from_arrays_rejects_misshapen_input():
+    with pytest.raises(ValueError):
+        SpecGroup.from_arrays(Species.BRADYON, 1, 1, STD, [(1.0, 2.0)], [1.0], [0])
+    with pytest.raises(ValueError):
+        SpecGroup.from_arrays(Species.BRADYON, 1, 1, STD, [(1.0, 2.0, 3.0)], [1.0, 2.0], [0])
 
 
 # ------------------------------------------------- batch kernel against N = 1

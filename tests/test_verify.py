@@ -1,7 +1,9 @@
 """A NaN residual in any one trial must fail its check and the whole run."""
 import math
+import zlib
 
 import numpy as np
+import pytest
 
 from ptdirac import kinematics, spinors, verify
 
@@ -47,20 +49,110 @@ def test_nan_in_one_row_of_the_speed_law_fails(monkeypatch):
     assert not verify.run_all(SEED, TRIALS, TOL).passed
 
 
-def test_nan_residual_of_one_scalar_trial_fails(monkeypatch):
+def test_nan_in_one_row_of_the_dual_momentum_pass_fails(monkeypatch):
     real = kinematics.dual_momentum
-    calls = []
 
-    def nan_dual_on_call_5(p):
-        calls.append(None)
+    def nan_in_row_5(p):
         d = real(p)
-        if len(calls) == 5:
-            object.__setattr__(d, "e", math.nan)  # FourVector rejects NaN on construction
+        d[5, 0] = math.nan
         return d
 
-    monkeypatch.setattr(kinematics, "dual_momentum", nan_dual_on_call_5)
+    monkeypatch.setattr(kinematics, "dual_momentum", nan_in_row_5)
     check = by_name(verify.kinematics_checks(SEED, TRIALS, TOL))["kinematics.dual_momentum"]
     assert math.isnan(check.max_residual)
     assert not check.passed
-    calls.clear()
     assert not verify.run_all(SEED, TRIALS, TOL).passed
+
+
+def test_nan_in_one_row_of_the_anticommutation_pass_fails(monkeypatch):
+    real = verify.METRIC
+
+    class NanInRow5:
+        """The metric, except that the entries picked for row 5 read NaN."""
+
+        def __getitem__(self, index):
+            entries = real[index].copy()
+            entries[5] = math.nan
+            return entries
+
+    monkeypatch.setattr(verify, "METRIC", NanInRow5())
+    check = by_name(verify.clifford_checks(SEED, TRIALS, TOL))["clifford.anticommutation"]
+    assert math.isnan(check.max_residual)
+    assert not check.passed
+    assert not verify.run_all(SEED, TRIALS, TOL).passed
+
+
+# ------------------------------------------------------------- drawn inputs
+
+SPEC_GROUPS = [("spinors", {}), ("symmetries", {}),
+               ("observables", dict(massive_only=True, modest_shells=True))]
+
+
+def labels(g):
+    return g.species, g.energy_sign, g.helicity, g.rep
+
+
+@pytest.mark.parametrize("group,options", SPEC_GROUPS, ids=[g for g, _ in SPEC_GROUPS])
+def test_spec_groups_are_prefix_stable(group, options):
+    few = verify.random_spec(SEED, group, 10, **options)
+    many = {labels(g): g for g in verify.random_spec(SEED, group, 1000, **options)}
+    assert len(few) == 10
+    for g in few:
+        big = many[labels(g)]
+        head = big.rows < 10
+        assert np.array_equal(g.rows, big.rows[head])
+        for field in ("momentum", "k", "mass", "epsilon"):
+            assert np.array_equal(getattr(g, field), getattr(big, field)[head]), field
+
+
+def test_other_drawn_inputs_are_prefix_stable(monkeypatch):
+    real, blocks = verify._uniforms, {}
+
+    def recording(seed, group, stream, trials, width):
+        block = real(seed, group, stream, trials, width)
+        blocks.setdefault(trials, []).append(((group, stream, width), block))
+        return block
+
+    monkeypatch.setattr(verify, "_uniforms", recording)
+    verify.run_all(SEED, 10, TOL)
+    verify.run_all(SEED, 1000, TOL)
+    assert len(blocks[10]) == len(blocks[1000]) == 7
+    for (key, few), (key_many, many) in zip(blocks[10], blocks[1000]):
+        assert key == key_many
+        assert np.array_equal(few, many[:, :10])
+
+
+def test_a_trial_replays_alone():
+    """Row i of a block is the stream advanced by i * width steps."""
+    width, trials, i = 20, 1000, 737
+    block = verify._uniforms(SEED, "symmetries", 1, trials, width)
+    bits = np.random.PCG64((SEED, zlib.crc32(b"symmetries"), 1))
+    bits.advance(i * width)
+    assert np.array_equal(np.random.Generator(bits).random(width), block[:, i])
+
+
+@pytest.mark.parametrize("group,options", SPEC_GROUPS, ids=[g for g, _ in SPEC_GROUPS])
+def test_drawn_groups_agree_with_specs_built_one_by_one(group, options):
+    drawn = verify.random_spec(SEED, group, 500, **options)
+    specs = [None] * 500
+    for g in drawn:
+        for row, p, m in zip(g.rows, g.momentum, g.mass):
+            specs[row] = spinors.PlaneWaveSpec(g.species, g.energy_sign, tuple(p), float(m),
+                                               g.helicity, g.rep)
+    regrouped = spinors.spec_groups(specs)
+    assert [labels(g) for g in regrouped] == [labels(g) for g in drawn]
+    reference = spinors.amplitudes(specs)
+    for g, h in zip(drawn, regrouped):
+        assert np.array_equal(g.rows, h.rows)
+        assert np.array_equal(g.momentum, h.momentum)
+        # |p| and the shell energy come from the same laws, entry by entry
+        assert np.array_equal(g.k, h.k)
+        assert np.array_equal(g.epsilon, h.epsilon)
+        w, ref = spinors.group_amplitudes(g), reference[g.rows]
+        assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_a_single_trial_runs():
+    report = verify.run_all(SEED, 1, TOL)
+    assert report.passed
+    assert len(report.checks) == 32
