@@ -145,13 +145,22 @@ def _four_components(p) -> np.ndarray:
     return arr
 
 
+def contract(coeffs, stack: np.ndarray) -> np.ndarray:
+    """sum_a coeffs[..., a] stack[a]: real coefficients (..., k) against a
+    stack (k, 4, 4) of matrices, as one matmul against the stack flattened to
+    (k, 16).  The result has the leading axes of ``coeffs`` followed by (4, 4).
+    """
+    c = np.asarray(coeffs)
+    return (c @ stack.reshape(len(stack), 16)).reshape(c.shape[:-1] + (4, 4))
+
+
 def slash(gs: GammaSet, p) -> np.ndarray:
     """Contraction p_mu gamma^mu = e gamma^0 - p.gamma for p = (e; p).
 
     ``p`` is a four-vector or an array whose last axis holds (e, px, py, pz);
     the result has the leading axes of ``p`` followed by (4, 4).
     """
-    return np.einsum("...u,uij->...ij", _four_components(p) * METRIC.diagonal(), gs.stack)
+    return contract(_four_components(p) * METRIC.diagonal(), gs.stack)
 
 
 def sigma_tensor(gs: GammaSet, mu: int, nu: int) -> np.ndarray:

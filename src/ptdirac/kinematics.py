@@ -224,12 +224,28 @@ def _unit_axis(axis) -> np.ndarray:
     return n / norm[..., None]
 
 
+def _rapidity_out_of_range(rapidity) -> ValueError:
+    return ValueError(f"boost out of floating-point range: cosh({float(rapidity)!r}) "
+                      "overflows")
+
+
 def _cosh_sinh(rapidity):
-    """cosh and sinh of one rapidity, raising OverflowError past |zeta| ~ 710,
-    or of an array of them."""
+    """cosh and sinh of one rapidity, or of an array of them.
+
+    Past |zeta| ~ 710 they leave the floating-point range, which raises a
+    ValueError naming the first such rapidity.
+    """
     if np.ndim(rapidity) == 0:
-        return math.cosh(rapidity), math.sinh(rapidity)
-    return np.cosh(rapidity), np.sinh(rapidity)
+        try:
+            return math.cosh(rapidity), math.sinh(rapidity)
+        except OverflowError:
+            raise _rapidity_out_of_range(rapidity) from None
+    with np.errstate(over="ignore"):
+        ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+    overflow = np.isinf(ch)
+    if overflow.any():
+        raise _rapidity_out_of_range(np.asarray(rapidity)[overflow].flat[0])
+    return ch, sh
 
 
 def _boost_arrays(p4: np.ndarray, n: np.ndarray, rapidity) -> np.ndarray:

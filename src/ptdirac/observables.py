@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Representation, gamma_set
+from .clifford import Representation, contract, gamma_set
 from .kinematics import FourVector, Species, minkowski_dot
 from .spinors import PlaneWaveSpec, amplitude, four_momenta
 
@@ -53,7 +53,7 @@ def hamiltonian(species: Species, momentum, mass,
     an (n, 3) array with ``mass`` (n,), giving one hamiltonian per row.
     """
     gs = gamma_set(rep)
-    h = np.einsum("...i,ijk->...jk", np.asarray(momentum, dtype=float), gs.alpha_stack)
+    h = contract(np.asarray(momentum, dtype=float), gs.alpha_stack)
     term = gs.gammas[0] if species is Species.BRADYON else gs.alpha5
     return h + np.asarray(mass, dtype=float)[..., None, None] * term
 
@@ -67,7 +67,7 @@ def energy_eigencheck(spec, w=None):
     """
     if w is None:
         w = amplitude(spec)
-    sign = spec.energy_sign
+    sign = np.asarray(spec.energy_sign)[..., None]
     h = hamiltonian(spec.species, sign * np.asarray(spec.momentum), spec.mass, spec.rep)
     hw = np.einsum("...ij,...j->...i", h, w)
     target = sign * np.asarray(spec.epsilon)[..., None]
@@ -133,7 +133,7 @@ def four_vector_closed_forms(spec) -> tuple[np.ndarray, np.ndarray]:
     k = np.asarray(spec.k)[..., None]
     dual = np.concatenate([k, (p4[..., :1] / k) * p4[..., 1:]], axis=-1)
     m = np.asarray(spec.mass)[..., None]
-    h = spec.helicity_eigenvalue
+    h = np.asarray(spec.helicity_eigenvalue)[..., None]
     if spec.species is Species.BRADYON:
         return p4 / m, h * dual / m
     return dual / m, h * p4 / m

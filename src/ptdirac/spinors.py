@@ -35,8 +35,9 @@ class TranscendentDivision(ZeroDivisionError, ValueError):
     """The general-spinor parameterization divides by eps, singular at eps = 0."""
 
 
-def _helicity_spinors(n: np.ndarray, lam: int) -> np.ndarray:
-    """Helicity spinors (N, 2) of unit directions n (N, 3), all with label lam."""
+def _helicity_spinors(n: np.ndarray, lam) -> np.ndarray:
+    """Helicity spinors (N, 2) of unit directions n (N, 3) with labels lam,
+    one +-1 for all rows or one per row."""
     z = np.clip(n[:, 2], -1.0, 1.0)
     rho = np.hypot(n[:, 0], n[:, 1])
     # recover the small half-angle factor from rho = 2 c s rather than from
@@ -53,15 +54,13 @@ def _helicity_spinors(n: np.ndarray, lam: int) -> np.ndarray:
     px, py = n[:, 0] / rho_or_1, n[:, 1] / rho_or_1
     h = np.where(axial, 1.0, np.hypot(px, py))
     cos_phi, sin_phi = np.where(axial, 1.0, px / h), np.where(axial, 0.0, py / h)
+    # lam = +1: (c, e^{i phi} s); lam = -1: (-e^{-i phi} s, c)
+    plus = np.asarray(lam) == 1
     theta = np.zeros((len(n), 2), dtype=complex)
-    if lam == 1:
-        theta.real[:, 0] = c
-        theta.real[:, 1] = cos_phi * s
-        theta.imag[:, 1] = sin_phi * s
-    else:
-        theta.real[:, 0] = -cos_phi * s
-        theta.imag[:, 0] = sin_phi * s
-        theta.real[:, 1] = c
+    theta.real[:, 0] = np.where(plus, c, -cos_phi * s)
+    theta.imag[:, 0] = np.where(plus, 0.0, sin_phi * s)
+    theta.real[:, 1] = np.where(plus, cos_phi * s, c)
+    theta.imag[:, 1] = np.where(plus, sin_phi * s, 0.0)
     return theta
 
 
@@ -105,6 +104,20 @@ def _check_labels(energy_sign: int, helicity: int):
         raise ValueError(f"energy_sign must be +1 or -1, got {energy_sign}")
     if helicity not in (1, -1):
         raise ValueError(f"helicity must be +1 or -1, got {helicity}")
+
+
+def _label_columns(energy_sign, helicity, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labels as (n,) integer columns, each given as one +-1 or n of them."""
+    columns = []
+    for name, label in (("energy_sign", energy_sign), ("helicity", helicity)):
+        x = np.asarray(label)
+        if x.shape not in ((), (n,)):
+            raise ValueError(f"{name} must be one label or one per momentum")
+        bad = np.abs(x) != 1
+        if bad.any():
+            raise ValueError(f"{name} must be +1 or -1, got {x[bad].flat[0]}")
+        columns.append(np.broadcast_to(x.astype(int), (n,)))
+    return columns[0], columns[1]
 
 
 def _out_of_range(species: Species, target) -> ValueError:
@@ -177,40 +190,46 @@ class PlaneWaveSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpecGroup:
-    """Specs that share all four labels, with their numbers as arrays.
+    """Specs of one species and one basis, with their numbers and their other
+    labels as arrays, one entry per spec.
 
-    It has the attributes of `PlaneWaveSpec` (labels as scalars; ``momentum``
-    (n, 3) and ``k``, ``mass``, ``epsilon`` (n,) as arrays), so the functions
-    documented to take "a spec or a group" compute one row per spec.
-    ``rows`` holds the positions of the specs in the sequence they came from.
+    Species and basis choose the closed forms and the gamma matrices, so they
+    are scalars; ``energy_sign`` and ``helicity`` are (n,) columns of +-1,
+    ``momentum`` is (n, 3) and ``k``, ``mass``, ``epsilon`` are (n,).  The
+    attributes are those of `PlaneWaveSpec`, so the functions documented to
+    take "a spec or a group" compute one row per spec, each with its own
+    labels.  ``rows`` holds the positions of the specs in the sequence they
+    came from.
     """
 
     species: Species
-    energy_sign: int
-    helicity: int
     rep: Representation
     rows: np.ndarray
+    energy_sign: np.ndarray
+    helicity: np.ndarray
     momentum: np.ndarray
     k: np.ndarray
     mass: np.ndarray
     epsilon: np.ndarray
 
     @property
-    def helicity_eigenvalue(self) -> int:
+    def helicity_eigenvalue(self) -> np.ndarray:
         return self.energy_sign * self.helicity
 
     @classmethod
-    def from_arrays(cls, species: Species, energy_sign: int, helicity: int,
-                    rep: Representation, momentum, mass, rows) -> "SpecGroup":
-        """The group of specs with momenta ``momentum`` (n, 3) and masses
-        ``mass`` (n,), validated as `PlaneWaveSpec` validates each spec, with
-        |p| and the shell energy by the same laws (bit-identical to it)."""
-        _check_labels(energy_sign, helicity)
+    def from_arrays(cls, species: Species, rep: Representation, energy_sign, helicity,
+                    momentum, mass, rows) -> "SpecGroup":
+        """The group of specs with momenta ``momentum`` (n, 3), masses
+        ``mass`` (n,) and labels ``energy_sign``, ``helicity`` (one +-1 for
+        all specs, or one per spec), validated as `PlaneWaveSpec` validates
+        each spec, with |p| and the shell energy by the same laws
+        (bit-identical to it)."""
         p, m = np.asarray(momentum, dtype=float), np.asarray(mass, dtype=float)
         if p.ndim != 2 or p.shape[1] != 3 or not np.isfinite(p).all():
             raise ValueError("momentum must be rows of three finite components")
         if m.shape != p.shape[:1] or not (np.isfinite(m) & (m >= 0)).all():
             raise ValueError("mass must be finite and non-negative, one per momentum")
+        sign, lam = _label_columns(energy_sign, helicity, len(m))
         k = np.fromiter(itertools.starmap(math.hypot, p.tolist()), dtype=float, count=len(p))
         if not k.all():
             raise ZeroMomentum(_ZERO_MOMENTUM)
@@ -219,20 +238,22 @@ class SpecGroup:
             target = 2.0 * np.maximum(k, eps)
         if not np.isfinite(target).all():
             raise _out_of_range(species, target[~np.isfinite(target)][0])
-        return cls(species, energy_sign, helicity, rep, rows=np.asarray(rows), momentum=p,
-                   k=k, mass=m, epsilon=eps)
+        return cls(species, rep, rows=np.asarray(rows), energy_sign=sign, helicity=lam,
+                   momentum=p, k=k, mass=m, epsilon=eps)
 
 
 def spec_groups(specs) -> list[SpecGroup]:
-    """Split a sequence of specs by (species, energy sign, helicity, basis)."""
+    """Split a sequence of specs by (species, basis): at most 6 groups."""
     index: dict[tuple, list[int]] = {}
     for i, s in enumerate(specs):
-        index.setdefault((s.species, s.energy_sign, s.helicity, s.rep), []).append(i)
+        index.setdefault((s.species, s.rep), []).append(i)
     groups = []
-    for (species, sign, lam, rep), rows in index.items():
+    for (species, rep), rows in index.items():
         members = [specs[i] for i in rows]
         groups.append(SpecGroup(
-            species, sign, lam, rep, rows=np.array(rows),
+            species, rep, rows=np.array(rows),
+            energy_sign=np.array([s.energy_sign for s in members]),
+            helicity=np.array([s.helicity for s in members]),
             momentum=np.array([s.momentum for s in members]).reshape(-1, 3),
             k=np.array([s.k for s in members]),
             mass=np.array([s.mass for s in members]),
@@ -254,7 +275,8 @@ def _block_factors(g: SpecGroup) -> tuple[np.ndarray, np.ndarray]:
     special casing is needed.  The chiral-basis pair sqrt(k +- eps lam) and
     the bradyon pairs sqrt(eps +- m), sqrt(eps +- k lam) each contain one
     difference that does cancel, and is replaced by the identity
-    small = (product of roots)/big.
+    small = (product of roots)/big.  Each row takes the branch of its own
+    energy sign and helicity.
     """
     k, m, eps, lam = g.k, g.mass, g.epsilon, g.helicity
     tachyonic = g.species is not Species.BRADYON
@@ -269,12 +291,14 @@ def _block_factors(g: SpecGroup) -> tuple[np.ndarray, np.ndarray]:
     else:
         big = np.sqrt(k + eps)
         small = m / big
-        a, b = (big, small) if lam == 1 else (small, big)
-    if g.energy_sign == 1:
-        return (a, lam * b) if standard or tachyonic else (a, b)
+        a, b = np.where(lam == 1, big, small), np.where(lam == 1, small, big)
+    lower_u = lam * b if standard or tachyonic else b
     if standard:
-        return (-lam * a, b) if tachyonic else (-lam * b, a)
-    return (lam * b, a) if tachyonic else (-b, a)
+        upper_v, lower_v = (-lam * a, b) if tachyonic else (-lam * b, a)
+    else:
+        upper_v, lower_v = (lam * b, a) if tachyonic else (-b, a)
+    u = g.energy_sign == 1
+    return np.where(u, a, upper_v), np.where(u, lower_u, lower_v)
 
 
 def group_amplitudes(g: SpecGroup) -> np.ndarray:
@@ -287,8 +311,9 @@ def group_amplitudes(g: SpecGroup) -> np.ndarray:
 def amplitudes(specs) -> np.ndarray:
     """The helicity bispinor amplitudes (N, 4) of a sequence of specs, in order.
 
-    The plane-wave kernel: specs are grouped by their labels (at most 24
-    groups) and each group runs its branch of the closed forms on arrays.
+    The plane-wave kernel: specs are grouped by species and basis (at most 6
+    groups) and each group runs its closed forms on arrays, every row on the
+    branch of its energy sign and helicity.
     """
     out = np.empty((len(specs), 4), dtype=complex)
     for g in spec_groups(specs):

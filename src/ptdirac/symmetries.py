@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import METRIC, PAIRS, Representation, dagger, gamma_set
+from .clifford import METRIC, PAIRS, Representation, contract, dagger, gamma_set
 from .kinematics import Species, _boost_arrays, _cosh_sinh, _unit_axis
-from .spinors import (amplitude, dirac_operator, four_momenta, relative_residual,
-                      wave_operator)
+from .spinors import amplitude, four_momenta, relative_residual, wave_operator
 
 
 class DiscreteKind(enum.Enum):
@@ -87,31 +86,29 @@ def discrete_operator(kind: DiscreteKind, sector: Sector,
                           matrix=matrix, conjugates_argument=conj)
 
 
-def _target_spec(kind: DiscreteKind, spec):
-    """The plane wave whose operator must annihilate the transformed amplitude.
-
-    P and T send the wave to momentum -p at the same energy sign; C and I
-    exchange the u and v families at the same momentum.
-    """
-    if kind in (DiscreteKind.PARITY, DiscreteKind.TIME_INVERSION):
-        return replace(spec, momentum=-np.asarray(spec.momentum))
-    return replace(spec, energy_sign=-spec.energy_sign)
-
-
 def apply_discrete(kind: DiscreteKind, spec, w=None) -> tuple[np.ndarray, float]:
     """Transform the amplitude of ``spec`` and verify it solves the mapped wave.
 
     Returns the transformed bispinor U w (or U conj(w) for the antilinear C
     and T) together with the relative residual of the target operator applied
-    to it.  For a group, ``w`` holds one amplitude per spec, and both results
-    have one row per spec.
+    to it.  P and T send the wave to momentum -p at the same energy sign; C
+    and I exchange the u and v families at the same momentum, which flips the
+    sign of the mass term.  For a group, ``w`` holds one amplitude per spec,
+    and both results have one row per spec.
     """
     op = discrete_operator(kind, sector_for(spec.species), spec.rep)
     if w is None:
         w = amplitude(spec)
     transformed = (np.conj(w) if op.conjugates_argument else w) @ op.matrix.T
-    return transformed, relative_residual(dirac_operator(_target_spec(kind, spec)),
-                                          transformed)
+    p4 = four_momenta(spec)
+    signed_mass = spec.energy_sign * np.asarray(spec.mass)
+    if kind in (DiscreteKind.PARITY, DiscreteKind.TIME_INVERSION):
+        p4 = np.concatenate([p4[..., :1], -p4[..., 1:]], axis=-1)
+    else:
+        signed_mass = -signed_mass
+    target = wave_operator(gamma_set(spec.rep), p4, signed_mass,
+                           spec.species is not Species.BRADYON)
+    return transformed, relative_residual(target, transformed)
 
 
 def pct_product(sector: Sector, rep: Representation) -> np.ndarray:
@@ -154,7 +151,7 @@ def lorentz_generator(delta_omega, rep: Representation = Representation.STANDARD
     d = _check_antisymmetric(delta_omega)
     upper = np.stack([d[..., mu, nu] for mu, nu in PAIRS], axis=-1)
     # antisymmetry: the (nu, mu) term doubles the (mu, nu) one
-    return np.eye(4) - 0.5j * np.einsum("...p,pij->...ij", upper, gamma_set(rep).sigma_pairs)
+    return np.eye(4) - 0.5j * contract(upper, gamma_set(rep).sigma_pairs)
 
 
 def first_order_covariance_residual(delta_omega,
@@ -186,7 +183,7 @@ def lorentz_boost_spinor(axis, rapidity,
     """
     n = _unit_axis(axis)
     ch, sh = _cosh_sinh(np.asarray(rapidity, dtype=float) / 2.0)
-    a_n = np.einsum("...i,ijk->...jk", n, gamma_set(rep).alpha_stack)
+    a_n = contract(n, gamma_set(rep).alpha_stack)
     return (np.asarray(ch)[..., None, None] * np.eye(4)
             - np.asarray(sh)[..., None, None] * a_n)
 

@@ -7,11 +7,14 @@ row i of each block, so its inputs do not depend on the number of trials and
 a report is bit-identical for a fixed seed and trial count.  A trial can be
 replayed in isolation: a block's generator is PCG64 and each uniform takes
 one 64-bit step, so advancing a fresh generator by i * width steps gives row
-i.  Every check runs as array passes over all trials, one pass per set of
-spec labels.  A check passes when its worst residual over all trials stays
-at or below the tolerance it was run with; the worst residual is NaN when
-any residual is, so a NaN never passes.  The acceptance tests re-run the
-same checks against the per-invariant tolerances they pin.
+i.  Every check runs as array passes over all trials: the plane-wave specs
+form one group per species and basis (at most 6), with each trial's energy
+sign and helicity as entries of per-row columns, and checks that need one
+particular label run on the rows that carry it.  A check passes when its
+worst residual over all trials stays at or below the tolerance it was run
+with; the worst residual is NaN when any residual is, so a NaN never passes.
+The acceptance tests re-run the same checks against the per-invariant
+tolerances they pin.
 """
 from __future__ import annotations
 
@@ -99,10 +102,11 @@ _COMBOS = [(species, sign, lam, rep)
 
 def random_spec(seed: int, group: str, trials: int, *, massive_only: bool = False,
                 modest_shells: bool = False) -> list[SpecGroup]:
-    """The plane-wave specs of every trial, one group per set of labels.
+    """The plane-wave specs of every trial, one group per species and basis.
 
     Trial i takes its labels from species x sign x helicity x basis cycled by
-    i, and its masses and momenta from row i of the group's spec stream.
+    i, and its masses and momenta from row i of the group's spec stream; the
+    energy sign and helicity of each trial are columns of its group.
     Pseudotachyon shells span k in [m, 10m] and hit k = m exactly on a fixed
     subsequence; ``modest_shells`` caps the scales for checks whose absolute
     residuals grow with k^2/m.
@@ -111,9 +115,12 @@ def random_spec(seed: int, group: str, trials: int, *, massive_only: bool = Fals
     m_hi, k_fac = (2.0, 8.0) if modest_shells else (3.0, 10.0)
     u_m, u_k, u_z, u_phi = _uniforms(seed, group, _SPECS, trials, 4)
     n = _directions(u_z, u_phi)
+    combo_of = np.arange(trials) % len(combos)
+    signs, lams = (np.array([c[j] for c in combos]) for j in (1, 2))
     groups = []
-    for j, (species, sign, lam, rep) in enumerate(combos[:trials]):
-        rows = np.arange(j, trials, len(combos))
+    for species, rep in dict.fromkeys((c[0], c[3]) for c in combos[:trials]):
+        members = [j for j, c in enumerate(combos) if (c[0], c[3]) == (species, rep)]
+        rows = np.flatnonzero(np.isin(combo_of, members))
         m = _scaled(u_m[rows], 0.2, m_hi)
         if species is Species.LUXON:
             m, k = np.zeros(len(rows)), _scaled(u_k[rows], 0.05, 10.0)
@@ -122,8 +129,9 @@ def random_spec(seed: int, group: str, trials: int, *, massive_only: bool = Fals
             k = np.where(transcendent, m, m * _scaled(u_k[rows], 1.0, k_fac))
         else:
             k = m * _scaled(u_k[rows], 0.02, k_fac)
-        groups.append(SpecGroup.from_arrays(species, sign, lam, rep, k[:, None] * n[rows],
-                                            m, rows))
+        groups.append(SpecGroup.from_arrays(species, rep, signs[combo_of[rows]],
+                                            lams[combo_of[rows]], k[:, None] * n[rows], m,
+                                            rows))
     return groups
 
 
@@ -257,38 +265,42 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         w = spinors.group_amplitudes(g)
         nw = np.linalg.norm(w, axis=1)
         n2 = np.einsum("ni,ni->n", w.conj(), w).real
-        h = g.helicity_eigenvalue
+        h = g.helicity_eigenvalue[:, None]
         solution.append(spinors.solution_residual(g, w))
         norm.append(np.abs(n2 - spinors.norm_convention(g)))
         ctx = NormalizationContext(volume=volumes[g.rows])
         n_fac = spinors.normalization_factor(g, ctx)
         normid.append(np.abs(n_fac ** 2 * n2 * ctx.volume - 1.0))
 
-        lam_op = np.einsum("nj,jab->nab", g.momentum, gs.spin_stack) / g.k[:, None, None]
+        lam_op = clifford.contract(g.momentum, gs.spin_stack) / g.k[:, None, None]
         hel.append(np.linalg.norm(_rows(lam_op, w) - h * w, axis=1) / nw)
 
         standard = g.rep is Representation.STANDARD
         if g.species is Species.LUXON:
             chir.append(np.linalg.norm(w @ gs.gamma5.T - h * w, axis=1) / nw)
-            if standard and g.energy_sign == 1:
+            if standard:
                 # massless positive-energy amplitudes coincide entrywise with
                 # the opposite-helicity negative-energy ones (up to sign)
+                u = g.energy_sign == 1
                 twin = spinors.group_amplitudes(
-                    replace(g, energy_sign=-1, helicity=-g.helicity))
-                chir.append(np.linalg.norm(w - g.helicity * twin, axis=1) / nw)
+                    replace(g, energy_sign=-g.energy_sign, helicity=-g.helicity))
+                chir.append(np.linalg.norm(w[u] - g.helicity[u, None] * twin[u], axis=1)
+                            / nw[u])
         if g.species is Species.PSEUDOTACHYON and standard:
             at = g.epsilon == 0.0
             psig = np.einsum("nj,jab->nab", g.momentum[at], pauli)
             # the u-system decouples as (p.s - m) phi = (p.s + m) chi = 0;
             # the v-system carries the mirrored signs
-            sm = (g.energy_sign * g.mass[at])[:, None, None] * np.eye(2)
+            sm = (g.energy_sign[at] * g.mass[at])[:, None, None] * np.eye(2)
             transc.append(np.linalg.norm(_rows(psig + sm, w[at, 2:]), axis=1) / nw[at])
             transc.append(np.linalg.norm(_rows(psig - sm, w[at, :2]), axis=1) / nw[at])
-        if g.species is Species.PSEUDOTACHYON and g.energy_sign == 1:
-            wbar = w.conj() @ gs.gammas[0]
+        if g.species is Species.PSEUDOTACHYON:
+            u = g.energy_sign == 1
+            wbar = w[u].conj() @ gs.gammas[0]
             # slash(p) + m gamma^5
-            adj_op = spinors.wave_operator(gs, spinors.four_momenta(g), -g.mass, True)
-            adjoint.append(np.linalg.norm(np.einsum("ni,nij->nj", wbar, adj_op), axis=1) / nw)
+            adj_op = spinors.wave_operator(gs, spinors.four_momenta(g)[u], -g.mass[u], True)
+            adjoint.append(np.linalg.norm(np.einsum("ni,nij->nj", wbar, adj_op), axis=1)
+                           / nw[u])
         if not standard:
             twin = spinors.group_amplitudes(replace(g, rep=Representation.STANDARD))
             repmap.append(spinors.proportionality_defect(w @ w_conv.T, twin))
@@ -382,22 +394,27 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     a = _scaled(np.stack(u_gen, axis=1).reshape(-1, 4, 4), -1e-3, 1e-3)
     generators = a - np.swapaxes(a, 1, 2)
 
-    inter, bcov, g5comm, structure = [], [], [], []
-    for g in random_spec(seed, "symmetries", trials):
+    inter, bcov = [], []
+    groups = random_spec(seed, "symmetries", trials)
+    for g in groups:
         w = spinors.group_amplitudes(g)
         for kind in symmetries.DiscreteKind:
             inter.append(symmetries.apply_discrete(kind, g, w)[1])
-        n, z, z2 = axes[g.rows], zetas[g.rows], zetas2[g.rows]
-        bcov.append(symmetries.apply_boost(g, n, z, w)[1])
+        bcov.append(symmetries.apply_boost(g, axes[g.rows], zetas[g.rows], w)[1])
 
-        g5 = gamma_set(g.rep).gamma5
-        s_fin = symmetries.lorentz_boost_spinor(n, z, g.rep)
+    # the spinor maps themselves depend only on the basis
+    g5comm, structure = [], []
+    for rep in dict.fromkeys(g.rep for g in groups):
+        rows = np.concatenate([g.rows for g in groups if g.rep is rep])
+        n, z, z2 = axes[rows], zetas[rows], zetas2[rows]
+        g5 = gamma_set(rep).gamma5
+        s_fin = symmetries.lorentz_boost_spinor(n, z, rep)
         g5comm.append(np.linalg.norm(s_fin @ g5 - g5 @ s_fin, axis=(1, 2)))
-        s_gen = symmetries.lorentz_generator(generators[g.rows], g.rep)
+        s_gen = symmetries.lorentz_generator(generators[rows], rep)
         g5comm.append(np.linalg.norm(s_gen @ g5 - g5 @ s_gen, axis=(1, 2)))
 
-        comp = s_fin @ symmetries.lorentz_boost_spinor(n, z2, g.rep) \
-            - symmetries.lorentz_boost_spinor(n, z + z2, g.rep)
+        comp = s_fin @ symmetries.lorentz_boost_spinor(n, z2, rep) \
+            - symmetries.lorentz_boost_spinor(n, z + z2, rep)
         structure.append(np.linalg.norm(comp, axis=(1, 2)))
         structure.append(np.abs(np.linalg.det(s_fin) - 1.0))
     return [

@@ -5,6 +5,7 @@ from ptdirac.clifford import (
     METRIC,
     PAULI,
     Representation,
+    contract,
     dagger,
     gamma_set,
     representation_change,
@@ -111,6 +112,21 @@ def test_slash_linear_in_momentum(std, rng):
     lhs = slash(std, a * p + b * q)
     rhs = a * slash(std, p) + b * slash(std, q)
     assert np.linalg.norm(lhs - rhs) <= 1e-13
+
+
+STACKS = ("stack", "alpha_stack", "spin_stack", "bilinear_stack", "sigma_pairs")
+
+
+@pytest.mark.parametrize("name", STACKS)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_contract_equals_einsum_bit_for_bit(rep, name):
+    stack = getattr(gamma_set(rep), name)
+    rng = np.random.default_rng(23)
+    coeffs = rng.normal(size=(2000, len(stack))) * 10.0 ** rng.uniform(-6, 6, size=(2000, 1))
+    got = contract(coeffs, stack)
+    assert got.shape == (2000, 4, 4)
+    assert got.tobytes() == np.einsum("...a,aij->...ij", coeffs, stack).tobytes()
+    assert contract(coeffs.reshape(40, 50, -1), stack).shape == (40, 50, 4, 4)
 
 
 @pytest.mark.parametrize("mu", range(4))

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ptdirac.kinematics import (
     NonPhysicalMomentum,
     Species,
     ZeroMomentum,
+    _boost_arrays,
     boost,
     dispersion_table,
     dual_momentum,
@@ -242,6 +244,23 @@ def test_boost_matrix_matches_boost(rng):
     L[0, 1:] = L[1:, 0] = -sh * axis
     L[1:, 1:] += (ch - 1.0) * np.outer(axis, axis)
     assert np.allclose(L @ p.as_array(), boost(p, axis, 0.8).as_array(), atol=1e-13)
+
+
+def test_boost_past_the_float_range_is_a_range_error():
+    """cosh(800) overflows: one rapidity and an array of them both raise a
+    plain ValueError, with no OverflowError and no RuntimeWarning."""
+    p = FourVector(4, 0, 0, 5)
+    rows = np.array([p.as_array(), p.as_array()])
+    axes = np.array([[0, 0, 1.0], [1.0, 0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: boost(p, (0, 0, 1.0), 800.0),
+                     lambda: boost(p, (0, 0, 1.0), -711.0),
+                     lambda: _boost_arrays(rows, axes, np.array([1.0, -800.0]))):
+            with pytest.raises(ValueError, match="out of floating-point range") as info:
+                call()
+            assert type(info.value) is ValueError
+        assert np.isfinite(boost(p, (0, 0, 1.0), 700.0).as_array()).all()
 
 
 def test_four_vector_rejects_non_finite():

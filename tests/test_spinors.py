@@ -379,7 +379,7 @@ def test_norm_target_out_of_range_is_a_range_error(species, p, m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for build in (lambda: PlaneWaveSpec(species, 1, p, m, 1),
-                      lambda: SpecGroup.from_arrays(species, 1, 1, STD, [(1.0, 0.0, 1.0), p],
+                      lambda: SpecGroup.from_arrays(species, STD, 1, 1, [(1.0, 0.0, 1.0), p],
                                                     [m, m], [0, 1])):
             with pytest.raises(ValueError, match="out of floating-point range") as info:
                 build()
@@ -402,15 +402,33 @@ def test_group_from_arrays_rejects_what_the_spec_rejects(species, sign, p, m, la
         PlaneWaveSpec(species, sign, p, m, lam)
     good = (3.0, 0.0, 4.0)
     with pytest.raises(error):
-        SpecGroup.from_arrays(species, sign, lam, STD, [good, p],
+        SpecGroup.from_arrays(species, STD, sign, lam, [good, p],
                               [0.0 if species is Species.LUXON else 1.0, m], [0, 1])
 
 
 def test_group_from_arrays_rejects_misshapen_input():
     with pytest.raises(ValueError):
-        SpecGroup.from_arrays(Species.BRADYON, 1, 1, STD, [(1.0, 2.0)], [1.0], [0])
+        SpecGroup.from_arrays(Species.BRADYON, STD, 1, 1, [(1.0, 2.0)], [1.0], [0])
     with pytest.raises(ValueError):
-        SpecGroup.from_arrays(Species.BRADYON, 1, 1, STD, [(1.0, 2.0, 3.0)], [1.0, 2.0], [0])
+        SpecGroup.from_arrays(Species.BRADYON, STD, 1, 1, [(1.0, 2.0, 3.0)], [1.0, 2.0], [0])
+
+
+@pytest.mark.parametrize("sign,lam", [([1, 0], 1), (1, [-1, 2]), ([1, math.nan], 1),
+                                      ([1, -1, 1], 1), (1, [[1, -1]])],
+                         ids=["sign-0", "helicity-2", "sign-nan", "sign-length", "helicity-shape"])
+def test_group_from_arrays_rejects_bad_label_columns(sign, lam):
+    with pytest.raises(ValueError, match="energy_sign|helicity"):
+        SpecGroup.from_arrays(Species.BRADYON, STD, sign, lam, [(1.0, 2.0, 3.0), (0, 0, 1.0)],
+                              [1.0, 2.0], [0, 1])
+
+
+def test_group_label_columns_take_one_label_or_one_per_spec():
+    p, m = [(1.0, 2.0, 3.0), (0, 0, 1.0)], [1.0, 2.0]
+    one = SpecGroup.from_arrays(Species.BRADYON, STD, -1, 1, p, m, [0, 1])
+    rows = SpecGroup.from_arrays(Species.BRADYON, STD, [-1, -1], [1.0, 1.0], p, m, [0, 1])
+    for g in (one, rows):
+        assert g.energy_sign.tolist() == [-1, -1] and g.helicity.tolist() == [1, 1]
+        assert g.helicity_eigenvalue.tolist() == [-1, -1]
 
 
 # ------------------------------------------------- batch kernel against N = 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ptdirac import kinematics, spinors, verify
+from ptdirac.kinematics import Species
 
 SEED, TRIALS, TOL = 5, 48, 1e-12
 
@@ -86,23 +87,39 @@ def test_nan_in_one_row_of_the_anticommutation_pass_fails(monkeypatch):
 
 SPEC_GROUPS = [("spinors", {}), ("symmetries", {}),
                ("observables", dict(massive_only=True, modest_shells=True))]
+COLUMNS = ("energy_sign", "helicity", "momentum", "k", "mass", "epsilon")
 
 
-def labels(g):
-    return g.species, g.energy_sign, g.helicity, g.rep
+def combos(options):
+    return [c for c in verify._COMBOS
+            if not (options.get("massive_only") and c[0] is Species.LUXON)]
+
+
+def assert_row_labels(g, options):
+    """Row i of the trials carries combo i mod the cycle length."""
+    cycle = combos(options)
+    for row, sign, lam in zip(g.rows, g.energy_sign, g.helicity):
+        assert cycle[row % len(cycle)] == (g.species, sign, lam, g.rep)
 
 
 @pytest.mark.parametrize("group,options", SPEC_GROUPS, ids=[g for g, _ in SPEC_GROUPS])
 def test_spec_groups_are_prefix_stable(group, options):
     few = verify.random_spec(SEED, group, 10, **options)
-    many = {labels(g): g for g in verify.random_spec(SEED, group, 1000, **options)}
-    assert len(few) == 10
+    many = verify.random_spec(SEED, group, 1000, **options)
+    keyed = {(g.species, g.rep): g for g in many}
+    assert len(keyed) == len(many) == (4 if options else 6)
+    assert sum(len(g.rows) for g in few) == 10
+    assert sorted(np.concatenate([g.rows for g in many])) == list(range(1000))
     for g in few:
-        big = many[labels(g)]
+        big = keyed[g.species, g.rep]
+        assert_row_labels(g, options)
+        assert_row_labels(big, options)
         head = big.rows < 10
         assert np.array_equal(g.rows, big.rows[head])
-        for field in ("momentum", "k", "mass", "epsilon"):
+        for field in COLUMNS:
             assert np.array_equal(getattr(g, field), getattr(big, field)[head]), field
+        assert np.array_equal(spinors.group_amplitudes(g),
+                              spinors.group_amplitudes(big)[head])
 
 
 def test_other_drawn_inputs_are_prefix_stable(monkeypatch):
@@ -136,20 +153,21 @@ def test_drawn_groups_agree_with_specs_built_one_by_one(group, options):
     drawn = verify.random_spec(SEED, group, 500, **options)
     specs = [None] * 500
     for g in drawn:
-        for row, p, m in zip(g.rows, g.momentum, g.mass):
-            specs[row] = spinors.PlaneWaveSpec(g.species, g.energy_sign, tuple(p), float(m),
-                                               g.helicity, g.rep)
+        assert_row_labels(g, options)
+        for row, sign, lam, p, m in zip(g.rows, g.energy_sign, g.helicity, g.momentum,
+                                        g.mass):
+            specs[row] = spinors.PlaneWaveSpec(g.species, int(sign), tuple(p), float(m),
+                                               int(lam), g.rep)
     regrouped = spinors.spec_groups(specs)
-    assert [labels(g) for g in regrouped] == [labels(g) for g in drawn]
-    reference = spinors.amplitudes(specs)
+    assert [(g.species, g.rep) for g in regrouped] == [(g.species, g.rep) for g in drawn]
     for g, h in zip(drawn, regrouped):
         assert np.array_equal(g.rows, h.rows)
-        assert np.array_equal(g.momentum, h.momentum)
         # |p| and the shell energy come from the same laws, entry by entry
-        assert np.array_equal(g.k, h.k)
-        assert np.array_equal(g.epsilon, h.epsilon)
-        w, ref = spinors.group_amplitudes(g), reference[g.rows]
-        assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for field in COLUMNS:
+            assert np.array_equal(getattr(g, field), getattr(h, field)), field
+        w = spinors.group_amplitudes(g)
+        for row, w_row in zip(g.rows, w):
+            assert w_row.tobytes() == spinors.amplitude(specs[row]).tobytes()
 
 
 def test_a_single_trial_runs():
