@@ -50,7 +50,6 @@ from .spinors import (
     TranscendentDivision,
     amplitude,
     amplitude_from_spinor,
-    amplitudes,
     convert_representation,
     dirac_operator,
     helicity_spinor,

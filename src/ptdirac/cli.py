@@ -1,8 +1,10 @@
 """Command line: inspect solutions, apply symmetries, emit dispersion tables.
 
 Exit codes: 0 success, 1 verification failure (including a non-finite
-residual), 2 argument or domain error (including non-finite numbers, results
-out of floating-point range and tables too large to allocate), 3 I/O failure.
+residual or any other non-finite number printed), 2 argument or domain error
+(including non-finite numbers, results out of floating-point range, work
+too large to allocate, tables above MAX_STEPS rows and verify runs above
+MAX_TRIALS trials), 3 I/O failure.
 A dispersion table is computed and checked in full before its output is
 opened, then written in chunks of CHUNK_ROWS rows.
 The environment variable PT_DIRAC_TOL overrides the default tolerance of
@@ -50,6 +52,8 @@ DEFAULT_TRIALS = 1000
 DEFAULT_PRECISION = 9
 # Most rows one dispersion table may have; checked before the table is built.
 MAX_STEPS = 10_000_000
+# Most trials one verify run may have; checked before any input is drawn.
+MAX_TRIALS = 100_000
 # Rows of a dispersion table formatted and written at a time.
 CHUNK_ROWS = 4096
 
@@ -178,7 +182,8 @@ def build_parser(default_tol: float = DEFAULT_TOL) -> argparse.ArgumentParser:
 
     ver = subs.add_parser("verify", help="run every invariant suite")
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                     help=f"number of trials, 1 to {MAX_TRIALS}")
     ver.add_argument("--tol", type=_positive_float, default=default_tol)
     ver.set_defaults(func=cmd_verify)
     return parser
@@ -240,14 +245,15 @@ def cmd_expect(args) -> int:
     spec = _spec_from_args(args)
     report = expectation_report(spec)
     p = args.precision
-    print("mean_velocity " + " ".join(_fmt(c, p) for c in report.mean_velocity))
-    print("mean_four_velocity "
-          + " ".join(_fmt(c, p) for c in report.mean_four_velocity.as_array()))
-    print("mean_spin_four_vector "
-          + " ".join(_fmt(c, p) for c in report.mean_spin_four_vector.as_array()))
+    vectors = {"mean_velocity": report.mean_velocity,
+               "mean_four_velocity": report.mean_four_velocity.as_array(),
+               "mean_spin_four_vector": report.mean_spin_four_vector.as_array()}
+    for label, vector in vectors.items():
+        print(label + " " + " ".join(_fmt(c, p) for c in vector))
     for label, value in report.constraint_residuals.items():
         print(f"residual {label} {value:.3e}")
-    return EXIT_OK
+    printed = np.concatenate([*vectors.values(), list(report.constraint_residuals.values())])
+    return EXIT_OK if np.isfinite(printed).all() else EXIT_VERIFY_FAILED
 
 
 def cmd_transform(args) -> int:
@@ -266,6 +272,8 @@ def cmd_transform(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {args.trials}")
     report = verify.run_all(args.seed, args.trials, args.tol)
     print(verify.format_report(report))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED

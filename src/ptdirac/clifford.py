@@ -137,8 +137,6 @@ def gamma_set(rep: Representation) -> GammaSet:
 
 
 def _four_components(p) -> np.ndarray:
-    if hasattr(p, "as_array"):
-        return p.as_array()
     arr = np.asarray(p, dtype=float)
     if arr.shape[-1:] != (4,):
         raise ValueError(f"expected a four-vector, got shape {arr.shape}")
@@ -157,8 +155,8 @@ def contract(coeffs, stack: np.ndarray) -> np.ndarray:
 def slash(gs: GammaSet, p) -> np.ndarray:
     """Contraction p_mu gamma^mu = e gamma^0 - p.gamma for p = (e; p).
 
-    ``p`` is a four-vector or an array whose last axis holds (e, px, py, pz);
-    the result has the leading axes of ``p`` followed by (4, 4).
+    ``p`` is an array whose last axis holds (e, px, py, pz); the result has
+    the leading axes of ``p`` followed by (4, 4).
     """
     return contract(_four_components(p) * METRIC.diagonal(), gs.stack)
 

@@ -54,29 +54,18 @@ class FourVector:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite four-vector component {name}")
 
-    @property
-    def spatial(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz])
-
-    @property
-    def k(self) -> float:
-        """Spatial magnitude |p|."""
-        return float(np.linalg.norm(self.spatial))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.e, self.px, self.py, self.pz])
 
     @classmethod
     def from_array(cls, arr) -> "FourVector":
-        e, px, py, pz = np.asarray(arr, dtype=float)
-        return cls(float(e), float(px), float(py), float(pz))
+        e, px, py, pz = np.asarray(arr, dtype=float).tolist()
+        return cls(e, px, py, pz)
 
 
 def minkowski_dot(a, b):
-    """a.b with metric (+, -, -, -) of two FourVectors, or row by row of two
-    arrays whose last axis holds (e, px, py, pz)."""
-    if isinstance(a, FourVector):
-        return a.e * b.e - a.px * b.px - a.py * b.py - a.pz * b.pz
+    """a.b with metric (+, -, -, -), row by row of two arrays whose last axis
+    holds (e, px, py, pz)."""
     return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
             - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
@@ -86,71 +75,48 @@ def energy_from_momentum(species: Species, k, m):
 
     The pseudotachyon branch is evaluated as sqrt(k - m) * sqrt(k + m), which
     is exact at the transcendent point k = m and avoids the cancellation in
-    sqrt(k^2 - m^2) near it.  ``k`` is a float, or an array (with ``m`` one
-    mass or an array of the same shape) for one energy per entry; the array
-    path runs the same operations entry by entry (hypot through
-    ``math.hypot``), so both give bit-identical energies.
+    sqrt(k^2 - m^2) near it; the bradyon branch is ``math.hypot``, entry by
+    entry.  ``k`` and ``m`` are floats, giving a float, or broadcastable
+    arrays, giving one energy per entry; an entry off the shell raises, and
+    the error names the first one.
     """
-    if isinstance(k, np.ndarray):
-        return _shell_energies(species, *np.broadcast_arrays(k.astype(float, copy=False),
-                                                            np.asarray(m, dtype=float)))
-    if k < 0 or m < 0:
+    k, m = np.asarray(k, dtype=float), np.asarray(m, dtype=float)
+    if k.shape != m.shape:
+        k, m = np.broadcast_arrays(k, m)
+    if np.count_nonzero(np.minimum(k, m) < 0):
         raise ValueError("k and m must be non-negative")
     if species is Species.BRADYON:
-        return math.hypot(k, m)
-    if species is Species.LUXON:
-        if m != 0.0:
-            raise MassNotZero(f"luxon requires m = 0, got m = {m}")
-        return k
-    if species is Species.PSEUDOTACHYON:
-        if k < m * (1.0 - SHELL_RTOL):
-            raise NonPhysicalMomentum(f"|p| = {k} < m = {m}")
-        return math.sqrt(max(k - m, 0.0)) * math.sqrt(k + m)
-    raise ValueError(f"unknown species {species!r}")
-
-
-def _shell_energies(species: Species, k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """`energy_from_momentum` of same-shape arrays, raising for the first
-    entry the scalar law rejects."""
-    if np.any(k < 0) or np.any(m < 0):
-        raise ValueError("k and m must be non-negative")
-    if species is Species.BRADYON:
-        return np.fromiter(map(math.hypot, k.ravel().tolist(), m.ravel().tolist()),
-                           dtype=float, count=k.size).reshape(k.shape)
-    if species is Species.LUXON:
-        if np.any(m != 0.0):
-            raise MassNotZero(f"luxon requires m = 0, got m = {m[m != 0.0][0]}")
-        return k.copy()
-    if species is Species.PSEUDOTACHYON:
+        eps = np.fromiter(map(math.hypot, k.ravel().tolist(), m.ravel().tolist()),
+                          dtype=float, count=k.size).reshape(k.shape)
+    elif species is Species.LUXON:
+        massive = m != 0.0
+        if np.count_nonzero(massive):
+            raise MassNotZero(f"luxon requires m = 0, got m = {m[massive][0]}")
+        eps = k.copy()
+    elif species is Species.PSEUDOTACHYON:
         below = k < m * (1.0 - SHELL_RTOL)
-        if below.any():
+        if np.count_nonzero(below):
             raise NonPhysicalMomentum(f"|p| = {k[below][0]} < m = {m[below][0]}")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, as the scalar law
-            return np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k + m)
-    raise ValueError(f"unknown species {species!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN out of range
+            eps = np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k + m)
+    else:
+        raise ValueError(f"unknown species {species!r}")
+    return float(eps) if eps.ndim == 0 else eps
 
 
 def dual_momentum(p):
     """The dual (k; eps p / k) of p = (eps; p), swapping eps and k.
 
-    Satisfies p.dual(p) = 0 and dual(p)^2 = -p^2.  ``p`` is a FourVector, or
-    an array whose last axis holds (e, px, py, pz), dualized row by row.  The
-    definition is componentwise in the given frame; it is not claimed (nor
-    tested) to transform as a four-vector under boosts that are not collinear
-    with p.
+    Satisfies p.dual(p) = 0 and dual(p)^2 = -p^2.  ``p`` is an array whose
+    last axis holds (e, px, py, pz), dualized row by row.  The definition is
+    componentwise in the given frame; it is not claimed (nor tested) to
+    transform as a four-vector under boosts that are not collinear with p.
     """
-    if not isinstance(p, FourVector):
-        p = np.asarray(p, dtype=float)
-        k = np.linalg.norm(p[..., 1:], axis=-1)
-        if np.any(k == 0.0):
-            raise ZeroMomentum("dual momentum undefined at |p| = 0")
-        return np.concatenate([k[..., None], (p[..., 0] / k)[..., None] * p[..., 1:]],
-                              axis=-1)
-    k = p.k
-    if k == 0.0:
+    p = np.asarray(p, dtype=float)
+    k = np.linalg.norm(p[..., 1:], axis=-1)
+    if np.any(k == 0.0):
         raise ZeroMomentum("dual momentum undefined at |p| = 0")
-    scale = p.e / k
-    return FourVector(k, scale * p.px, scale * p.py, scale * p.pz)
+    return np.concatenate([k[..., None], (p[..., 0] / k)[..., None] * p[..., 1:]], axis=-1)
 
 
 class SpeedTriple(NamedTuple):
@@ -218,7 +184,7 @@ def _unit_axis(axis) -> np.ndarray:
         raise ValueError("axis must be a 3-vector")
     norm = np.sqrt(np.add.reduce(n * n, axis=-1))
     unit = abs(norm - 1.0) <= 1e-9  # False for a NaN norm too
-    if not unit.all():
+    if np.count_nonzero(unit) != unit.size:
         worst = np.ravel(norm)[np.argmin(np.ravel(unit))]
         raise ValueError(f"axis must be a unit vector, |axis| = {worst}")
     return n / norm[..., None]
@@ -230,20 +196,15 @@ def _rapidity_out_of_range(rapidity) -> ValueError:
 
 
 def _cosh_sinh(rapidity):
-    """cosh and sinh of one rapidity, or of an array of them.
+    """``np.cosh`` and ``np.sinh`` of one rapidity, or of an array of them.
 
     Past |zeta| ~ 710 they leave the floating-point range, which raises a
     ValueError naming the first such rapidity.
     """
-    if np.ndim(rapidity) == 0:
-        try:
-            return math.cosh(rapidity), math.sinh(rapidity)
-        except OverflowError:
-            raise _rapidity_out_of_range(rapidity) from None
     with np.errstate(over="ignore"):
         ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     overflow = np.isinf(ch)
-    if overflow.any():
+    if np.count_nonzero(overflow):
         raise _rapidity_out_of_range(np.asarray(rapidity)[overflow].flat[0])
     return ch, sh
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import Representation, contract, gamma_set
-from .kinematics import FourVector, Species, minkowski_dot
+from .kinematics import FourVector, Species, dual_momentum, minkowski_dot
 from .spinors import PlaneWaveSpec, amplitude, four_momenta
 
 
@@ -84,7 +84,7 @@ def bilinears(w: np.ndarray, rep: Representation) -> np.ndarray:
 
 
 def _require_massive(spec):
-    if np.any(np.asarray(spec.mass) == 0.0):
+    if np.count_nonzero(np.asarray(spec.mass) == 0.0):
         raise MasslessSpecies("mean four-velocity/polarization divide by the mass")
 
 
@@ -104,12 +104,12 @@ def mean_four_vectors(spec, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def mean_four_velocity(spec: PlaneWaveSpec) -> FourVector:
     """wbar gamma^mu w / (2m); equals p/m (bradyon) or dual(p)/m (pseudotachyon)."""
-    return FourVector.from_array(mean_four_vectors(spec, bilinears(amplitude(spec), spec.rep))[0])
+    return expectation_report(spec).mean_four_velocity
 
 
 def mean_spin_four_vector(spec: PlaneWaveSpec) -> FourVector:
     """wbar gamma^mu gamma^5 w / (2m); h dual(p)/m (bradyon) or h p/m (pseudotachyon)."""
-    return FourVector.from_array(mean_four_vectors(spec, bilinears(amplitude(spec), spec.rep))[1])
+    return expectation_report(spec).mean_spin_four_vector
 
 
 def mean_velocity_closed_form(spec) -> np.ndarray:
@@ -130,21 +130,12 @@ def four_vector_closed_forms(spec) -> tuple[np.ndarray, np.ndarray]:
     """
     _require_massive(spec)
     p4 = four_momenta(spec)
-    k = np.asarray(spec.k)[..., None]
-    dual = np.concatenate([k, (p4[..., :1] / k) * p4[..., 1:]], axis=-1)
+    dual = dual_momentum(p4)
     m = np.asarray(spec.mass)[..., None]
     h = np.asarray(spec.helicity_eigenvalue)[..., None]
     if spec.species is Species.BRADYON:
         return p4 / m, h * dual / m
     return dual / m, h * p4 / m
-
-
-def mean_four_velocity_closed_form(spec: PlaneWaveSpec) -> FourVector:
-    return FourVector.from_array(four_vector_closed_forms(spec)[0])
-
-
-def mean_spin_four_vector_closed_form(spec: PlaneWaveSpec) -> FourVector:
-    return FourVector.from_array(four_vector_closed_forms(spec)[1])
 
 
 _CONSTRAINT_NAMES = {
@@ -166,12 +157,6 @@ def constraint_values(spec, vbar: np.ndarray, sbar: np.ndarray) -> np.ndarray:
     return np.stack([p2 + m * m, pv, ps + m * spec.helicity_eigenvalue], axis=-1)
 
 
-def _residual_dict(spec, vbar, sbar) -> dict[str, float]:
-    names = _CONSTRAINT_NAMES[Species.BRADYON if spec.species is Species.BRADYON
-                              else Species.PSEUDOTACHYON]
-    return {name: float(r) for name, r in zip(names, constraint_values(spec, vbar, sbar))}
-
-
 def constraint_residuals(spec: PlaneWaveSpec) -> dict[str, float]:
     """Residuals of the constraints linking p, vbar, sbar, m on each shell.
 
@@ -179,7 +164,7 @@ def constraint_residuals(spec: PlaneWaveSpec) -> dict[str, float]:
     p^2 = -m^2, p.vbar = 0, p.sbar = -m h with h the helicity eigenvalue of
     the state.  All entries vanish identically for amplitudes produced here.
     """
-    return _residual_dict(spec, *mean_four_vectors(spec, bilinears(amplitude(spec), spec.rep)))
+    return expectation_report(spec).constraint_residuals
 
 
 def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:
@@ -188,9 +173,12 @@ def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:
     b = bilinears(amplitude(spec), spec.rep)
     vbar, sbar = mean_four_vectors(spec, b)
     v = b[1:4] / b[0]
+    names = _CONSTRAINT_NAMES[Species.BRADYON if spec.species is Species.BRADYON
+                              else Species.PSEUDOTACHYON]
     return ExpectationReport(
         mean_velocity=(float(v[0]), float(v[1]), float(v[2])),
         mean_four_velocity=FourVector.from_array(vbar),
         mean_spin_four_vector=FourVector.from_array(sbar),
-        constraint_residuals=_residual_dict(spec, vbar, sbar),
+        constraint_residuals={name: float(r) for name, r
+                              in zip(names, constraint_values(spec, vbar, sbar))},
     )

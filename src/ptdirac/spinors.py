@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .clifford import PAULI, GammaSet, Representation, gamma_set, representation_change, slash
-from .kinematics import FourVector, Species, ZeroMomentum, energy_from_momentum
+from .kinematics import Species, ZeroMomentum, energy_from_momentum
 
 
 class TranscendentDivision(ZeroDivisionError, ValueError):
@@ -38,30 +39,25 @@ class TranscendentDivision(ZeroDivisionError, ValueError):
 def _helicity_spinors(n: np.ndarray, lam) -> np.ndarray:
     """Helicity spinors (N, 2) of unit directions n (N, 3) with labels lam,
     one +-1 for all rows or one per row."""
-    z = np.clip(n[:, 2], -1.0, 1.0)
-    rho = np.hypot(n[:, 0], n[:, 1])
+    x, y, z = n.T
+    rho = np.hypot(x, y)
     # recover the small half-angle factor from rho = 2 c s rather than from
-    # 1 -+ z, which rounds away near the poles
-    big = np.sqrt((1.0 + np.abs(z)) / 2.0)
-    small = rho / (2.0 * big)
-    north = z >= 0.0
-    c, s = np.where(north, big, small), np.where(north, small, big)
-    # componentwise division (complex/complex would square a possibly
-    # subnormal rho and underflow to nan), then renormalize so the unit-norm
-    # invariant survives subnormal transverse components
-    axial = rho == 0.0
-    rho_or_1 = np.where(axial, 1.0, rho)
-    px, py = n[:, 0] / rho_or_1, n[:, 1] / rho_or_1
-    h = np.where(axial, 1.0, np.hypot(px, py))
-    cos_phi, sin_phi = np.where(axial, 1.0, px / h), np.where(axial, 0.0, py / h)
-    # lam = +1: (c, e^{i phi} s); lam = -1: (-e^{-i phi} s, c)
-    plus = np.asarray(lam) == 1
-    theta = np.zeros((len(n), 2), dtype=complex)
-    theta.real[:, 0] = np.where(plus, c, -cos_phi * s)
-    theta.imag[:, 0] = np.where(plus, 0.0, sin_phi * s)
-    theta.real[:, 1] = np.where(plus, cos_phi * s, c)
-    theta.imag[:, 1] = np.where(plus, sin_phi * s, 0.0)
-    return theta
+    # 1 -+ |z|, which rounds away near the poles
+    big = np.sqrt((1.0 + np.minimum(np.abs(z), 1.0)) / 2.0)
+    halves = np.array([big, rho / (2.0 * big)])
+    c, s = np.where(z >= 0.0, halves, halves[::-1])
+    # e^{i phi} as (cos, sin) = (x, y) / rho, divided componentwise
+    # (complex/complex would square a possibly subnormal rho and underflow to
+    # nan), then renormalized so the unit-norm invariant survives subnormal
+    # transverse components; on the axis phi = 0
+    phase = np.zeros((2, len(n)))
+    phase[0] = 1.0
+    np.divide(n.T[:2], rho, out=phase, where=rho != 0.0)
+    t, u = s * (phase / np.hypot(*phase))
+    zero = np.zeros_like(c)
+    # lam = +1: (c, e^{i phi} s); lam = -1: (-e^{-i phi} s, c), as (re, im, re, im)
+    parts = np.where(np.equal(lam, 1), [c, zero, t, u], [-t, u, c, zero])
+    return np.ascontiguousarray(parts.T).view(complex)
 
 
 def helicity_spinor(direction, lam: int) -> np.ndarray:
@@ -97,27 +93,28 @@ class NormalizationContext:
 
 
 _ZERO_MOMENTUM = "plane-wave spec needs |p| > 0 (helicity direction)"
-
-
-def _check_labels(energy_sign: int, helicity: int):
-    if energy_sign not in (1, -1):
-        raise ValueError(f"energy_sign must be +1 or -1, got {energy_sign}")
-    if helicity not in (1, -1):
-        raise ValueError(f"helicity must be +1 or -1, got {helicity}")
+# 2 x overflows exactly when x exceeds half the largest float
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 def _label_columns(energy_sign, helicity, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The labels as (n,) integer columns, each given as one +-1 or n of them."""
-    columns = []
-    for name, label in (("energy_sign", energy_sign), ("helicity", helicity)):
+    given = (("energy_sign", energy_sign), ("helicity", helicity))
+    labels = np.empty((2, n))
+    for row, (name, label) in enumerate(given):
         x = np.asarray(label)
         if x.shape not in ((), (n,)):
             raise ValueError(f"{name} must be one label or one per momentum")
-        bad = np.abs(x) != 1
-        if bad.any():
-            raise ValueError(f"{name} must be +1 or -1, got {x[bad].flat[0]}")
-        columns.append(np.broadcast_to(x.astype(int), (n,)))
-    return columns[0], columns[1]
+        if x.dtype.kind not in "biuf":
+            raise ValueError(f"{name} must be +1 or -1, got {label!r}")
+        labels[row] = x
+    bad = np.abs(labels) != 1
+    if np.count_nonzero(bad):
+        row, col = np.argwhere(bad)[0]
+        name, label = given[row]
+        raise ValueError(f"{name} must be +1 or -1, got {np.broadcast_to(label, (n,))[col]}")
+    sign, lam = labels.astype(int)
+    return sign, lam
 
 
 def _out_of_range(species: Species, target) -> ValueError:
@@ -129,77 +126,18 @@ def _out_of_range(species: Species, target) -> ValueError:
                       f"norm target w^dag w = {float(target)!r}")
 
 
-@dataclass(frozen=True)
-class PlaneWaveSpec:
-    """Labels one exact plane-wave solution.
-
-    ``energy_sign`` +1 selects the u-amplitude (wave e^{-ipx}), -1 the
-    v-amplitude (wave e^{+ipx}, physical momentum -p).  ``helicity`` is the
-    label lambda; the actual helicity eigenvalue of the amplitude is
-    ``helicity_eigenvalue`` = energy_sign * helicity.  |p| and the shell
-    energy are computed once, at construction, which raises ValueError when
-    the norm target (`norm_convention`) leaves the floating-point range.
-    """
-
-    species: Species
-    energy_sign: int
-    momentum: tuple[float, float, float]
-    mass: float
-    helicity: int
-    rep: Representation = Representation.STANDARD
-
-    def __post_init__(self):
-        _check_labels(self.energy_sign, self.helicity)
-        object.__setattr__(self, "momentum", tuple(map(float, self.momentum)))
-        if len(self.momentum) != 3 or not all(map(math.isfinite, self.momentum)):
-            raise ValueError("momentum must be three finite components")
-        if not (math.isfinite(self.mass) and self.mass >= 0):
-            raise ValueError(f"mass must be finite and non-negative, got {self.mass}")
-        # scaled norm: neither overflows at 1e200 nor underflows at 1e-300
-        k = math.hypot(*self.momentum)
-        if k == 0.0:
-            raise ZeroMomentum(_ZERO_MOMENTUM)
-        object.__setattr__(self, "_k", k)
-        # shell validation (raises NonPhysicalMomentum / MassNotZero)
-        eps = energy_from_momentum(self.species, k, self.mass)
-        object.__setattr__(self, "_epsilon", eps)
-        target = 2.0 * max(k, eps)
-        if not math.isfinite(target):
-            raise _out_of_range(self.species, target)
-
-    @property
-    def k(self) -> float:
-        return self._k
-
-    @property
-    def epsilon(self) -> float:
-        return self._epsilon
-
-    @property
-    def direction(self) -> np.ndarray:
-        return np.asarray(self.momentum) / self.k
-
-    @property
-    def four_momentum(self) -> FourVector:
-        return FourVector(self.epsilon, *self.momentum)
-
-    @property
-    def helicity_eigenvalue(self) -> int:
-        return self.energy_sign * self.helicity
-
-
 @dataclass(frozen=True, eq=False)
 class SpecGroup:
-    """Specs of one species and one basis, with their numbers and their other
-    labels as arrays, one entry per spec.
+    """Plane-wave specs of one species and one basis, with their numbers and
+    their other labels as arrays, one entry per spec.
 
     Species and basis choose the closed forms and the gamma matrices, so they
     are scalars; ``energy_sign`` and ``helicity`` are (n,) columns of +-1,
-    ``momentum`` is (n, 3) and ``k``, ``mass``, ``epsilon`` are (n,).  The
-    attributes are those of `PlaneWaveSpec`, so the functions documented to
-    take "a spec or a group" compute one row per spec, each with its own
-    labels.  ``rows`` holds the positions of the specs in the sequence they
-    came from.
+    ``momentum`` is (n, 3) and ``k``, ``mass``, ``epsilon`` are (n,).  A
+    `PlaneWaveSpec` is a group of one with the same attributes as scalars, so
+    the functions documented to take "a spec or a group" compute one row per
+    spec, each with its own labels.  ``rows`` holds the positions of the
+    specs in the sequence they came from.  Build groups with `from_arrays`.
     """
 
     species: Species
@@ -221,44 +159,83 @@ class SpecGroup:
                     momentum, mass, rows) -> "SpecGroup":
         """The group of specs with momenta ``momentum`` (n, 3), masses
         ``mass`` (n,) and labels ``energy_sign``, ``helicity`` (one +-1 for
-        all specs, or one per spec), validated as `PlaneWaveSpec` validates
-        each spec, with |p| and the shell energy by the same laws
-        (bit-identical to it)."""
+        all specs, or one per spec).
+
+        The one plane-wave validator, `PlaneWaveSpec` included.  It computes
+        |p| with ``math.hypot``, a scaled norm that neither overflows at 1e200
+        nor underflows at 1e-300, and the shell energy with
+        `energy_from_momentum`, once per spec.  The first invalid spec raises
+        ValueError, `ZeroMomentum`, or the shell error of
+        `energy_from_momentum`; a norm target w^dag w = 2 max(k, eps)
+        (`norm_convention`) beyond the floating-point range raises
+        ValueError.
+        """
         p, m = np.asarray(momentum, dtype=float), np.asarray(mass, dtype=float)
-        if p.ndim != 2 or p.shape[1] != 3 or not np.isfinite(p).all():
-            raise ValueError("momentum must be rows of three finite components")
-        if m.shape != p.shape[:1] or not (np.isfinite(m) & (m >= 0)).all():
-            raise ValueError("mass must be finite and non-negative, one per momentum")
+        # np.count_nonzero is the cheapest reduction on one-row groups
+        if p.ndim != 2 or p.shape[1] != 3 or np.count_nonzero(np.isfinite(p)) != p.size:
+            raise ValueError("momentum must be three finite components per spec")
+        if m.shape != p.shape[:1]:
+            raise ValueError("mass must be one per momentum")
+        ok = (m >= 0.0) & (m < math.inf)
+        if np.count_nonzero(ok) != m.size:
+            raise ValueError(f"mass must be finite and non-negative, got {m[~ok][0]}")
         sign, lam = _label_columns(energy_sign, helicity, len(m))
         k = np.fromiter(itertools.starmap(math.hypot, p.tolist()), dtype=float, count=len(p))
-        if not k.all():
+        if np.count_nonzero(k) != k.size:
             raise ZeroMomentum(_ZERO_MOMENTUM)
         eps = energy_from_momentum(species, k, m)
-        with np.errstate(over="ignore"):
-            target = 2.0 * np.maximum(k, eps)
-        if not np.isfinite(target).all():
-            raise _out_of_range(species, target[~np.isfinite(target)][0])
+        half_target = np.maximum(k, eps)
+        ok = half_target <= _HALF_MAX
+        if np.count_nonzero(ok) != ok.size:
+            raise _out_of_range(species, 2.0 * float(half_target[~ok][0]))
         return cls(species, rep, rows=np.asarray(rows), energy_sign=sign, helicity=lam,
                    momentum=p, k=k, mass=m, epsilon=eps)
 
 
-def spec_groups(specs) -> list[SpecGroup]:
-    """Split a sequence of specs by (species, basis): at most 6 groups."""
-    index: dict[tuple, list[int]] = {}
-    for i, s in enumerate(specs):
-        index.setdefault((s.species, s.rep), []).append(i)
-    groups = []
-    for (species, rep), rows in index.items():
-        members = [specs[i] for i in rows]
-        groups.append(SpecGroup(
-            species, rep, rows=np.array(rows),
-            energy_sign=np.array([s.energy_sign for s in members]),
-            helicity=np.array([s.helicity for s in members]),
-            momentum=np.array([s.momentum for s in members]).reshape(-1, 3),
-            k=np.array([s.k for s in members]),
-            mass=np.array([s.mass for s in members]),
-            epsilon=np.array([s.epsilon for s in members])))
-    return groups
+_ROW0 = np.zeros(1, dtype=int)
+_ROW0.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class PlaneWaveSpec:
+    """Labels one exact plane-wave solution: a validated group of one.
+
+    ``energy_sign`` +1 selects the u-amplitude (wave e^{-ipx}), -1 the
+    v-amplitude (wave e^{+ipx}, physical momentum -p).  ``helicity`` is the
+    label lambda; the actual helicity eigenvalue of the amplitude is
+    ``helicity_eigenvalue`` = energy_sign * helicity.  Construction builds
+    the spec's `SpecGroup` of one with `SpecGroup.from_arrays`, which
+    validates it and raises what that raises; ``k`` (|p|) and ``epsilon``
+    (the shell energy) are read from its row 0, and `amplitude` computes row
+    0 of `group_amplitudes` on it.
+    """
+
+    species: Species
+    energy_sign: int
+    momentum: tuple[float, float, float]
+    mass: float
+    helicity: int
+    rep: Representation = Representation.STANDARD
+
+    def __post_init__(self):
+        g = SpecGroup.from_arrays(self.species, self.rep, self.energy_sign, self.helicity,
+                                  [self.momentum], [self.mass], _ROW0)
+        object.__setattr__(self, "momentum", tuple(g.momentum[0].tolist()))
+        object.__setattr__(self, "_group", g)
+        object.__setattr__(self, "_k", float(g.k[0]))
+        object.__setattr__(self, "_epsilon", float(g.epsilon[0]))
+
+    @property
+    def k(self) -> float:
+        return self._k
+
+    @property
+    def epsilon(self) -> float:
+        return self._epsilon
+
+    @property
+    def helicity_eigenvalue(self) -> int:
+        return self.energy_sign * self.helicity
 
 
 def four_momenta(spec) -> np.ndarray:
@@ -267,8 +244,9 @@ def four_momenta(spec) -> np.ndarray:
     return np.concatenate([eps[..., None], np.asarray(spec.momentum, dtype=float)], axis=-1)
 
 
-def _block_factors(g: SpecGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (upper, lower) multiplying the helicity spinor in each block.
+def _block_factors(g: SpecGroup) -> np.ndarray:
+    """Factors (upper, lower), shape (2, n), multiplying the helicity spinor
+    in each block.
 
     The stable square-root factors: for tachyonic species in the standard
     basis sqrt(k +- m lam); k - m is exact by Sterbenz whenever k <= 2m, so no
@@ -283,8 +261,7 @@ def _block_factors(g: SpecGroup) -> tuple[np.ndarray, np.ndarray]:
     standard = g.rep is Representation.STANDARD
     if tachyonic and standard:
         # |p| may land an ulp below m at the transcendent point
-        a = np.sqrt(np.maximum(k + m * lam, 0.0))
-        b = np.sqrt(np.maximum(k - m * lam, 0.0))
+        a, b = np.sqrt(np.maximum(k + np.array([m * lam, -m * lam]), 0.0))
     elif standard:
         a = np.sqrt(eps + m)
         b = k / a
@@ -297,39 +274,24 @@ def _block_factors(g: SpecGroup) -> tuple[np.ndarray, np.ndarray]:
         upper_v, lower_v = (-lam * a, b) if tachyonic else (-lam * b, a)
     else:
         upper_v, lower_v = (lam * b, a) if tachyonic else (-b, a)
-    u = g.energy_sign == 1
-    return np.where(u, a, upper_v), np.where(u, lower_u, lower_v)
+    return np.where(g.energy_sign == 1, [a, lower_u], [upper_v, lower_v])
 
 
 def group_amplitudes(g: SpecGroup) -> np.ndarray:
     """The amplitudes (n, 4) of the specs of one group."""
-    upper, lower = _block_factors(g)
     theta = _helicity_spinors(g.momentum / g.k[:, None], g.helicity_eigenvalue)
-    return np.concatenate([upper[:, None] * theta, lower[:, None] * theta], axis=1)
-
-
-def amplitudes(specs) -> np.ndarray:
-    """The helicity bispinor amplitudes (N, 4) of a sequence of specs, in order.
-
-    The plane-wave kernel: specs are grouped by species and basis (at most 6
-    groups) and each group runs its closed forms on arrays, every row on the
-    branch of its energy sign and helicity.
-    """
-    out = np.empty((len(specs), 4), dtype=complex)
-    for g in spec_groups(specs):
-        out[g.rows] = group_amplitudes(g)
-    return out
+    return (_block_factors(g).T[:, :, None] * theta[:, None, :]).reshape(-1, 4)
 
 
 def amplitude(spec: PlaneWaveSpec) -> np.ndarray:
     """The helicity bispinor amplitude of the given plane wave.
 
-    `amplitudes` at N = 1, computed on first use and kept on the spec; the
-    array is read-only.
+    Row 0 of `group_amplitudes` on the spec's group of one, computed on first
+    use and kept on the spec; the array is read-only.
     """
     w = spec.__dict__.get("_amplitude")
     if w is None:
-        w = amplitudes((spec,))[0]
+        w = group_amplitudes(spec._group)[0]
         w.setflags(write=False)
         object.__setattr__(spec, "_amplitude", w)
     return w
@@ -348,7 +310,7 @@ def amplitude_from_spinor(species: Species, energy_sign: int, momentum, mass: fl
     if energy_sign not in (1, -1):
         raise ValueError(f"energy_sign must be +1 or -1, got {energy_sign}")
     p = np.asarray(momentum, dtype=float)
-    k = float(np.linalg.norm(p))
+    k = math.hypot(*p)
     if k == 0.0:
         raise ZeroMomentum("plane-wave amplitude needs |p| > 0")
     eps = energy_from_momentum(species, k, mass)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,16 @@ def test_expect_luxon_rejected(capsys):
     assert "error: MasslessSpecies" in err
 
 
+def test_expect_non_finite_residual_fails(capsys):
+    # p^2 overflows in the absolute constraint residuals at |p| = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, _ = run_main(capsys, "expect", "--species", "pt",
+                                "--momentum", "1e200,0,0", "--mass", "1")
+    assert code == 1
+    assert "residual p2_plus_m2 nan" in out
+
+
 # ------------------------------------------------------------------ transform
 
 def test_transform_parity(capsys):
@@ -347,6 +358,16 @@ def test_verify_zero_trials(capsys):
     assert code == 2
 
 
+def test_verify_trials_cap_checked_before_any_draw(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("verify ran")
+
+    monkeypatch.setattr(cli.verify, "run_all", unreachable)
+    code, out, err = run_main(capsys, "verify", "--trials", "100000000000")
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be at most {cli.MAX_TRIALS}, got 100000000000\n"
+
+
 def test_verify_env_tolerance_override():
     proc = run_proc("verify", "--trials", "40",
                     env_extra={"PT_DIRAC_TOL": "1e-30"})
@@ -417,6 +438,20 @@ def test_spinor_non_finite_residual_fails(capsys, monkeypatch):
                             "--momentum", "0,0,5", "--mass", "3")
     assert code == 1
     assert "residual nan" in out
+
+
+@pytest.mark.parametrize("momentum,mass,species,err", [
+    ("0,0,5", "-1", "pt", "error: mass must be finite and non-negative, got -1.0\n"),
+    ("0,0,0", "1", "pt",
+     "error: ZeroMomentum: plane-wave spec needs |p| > 0 (helicity direction)\n"),
+    ("0,0,0.5", "1", "pt", "error: NonPhysicalMomentum: |p| = 0.5 < m = 1.0\n"),
+    ("0,0,5", "1e308", "pt", "error: NonPhysicalMomentum: |p| = 5.0 < m = 1e+308\n"),
+    ("0,0,5", "1e308", "bradyon",
+     "error: bradyon plane wave out of floating-point range: norm target w^dag w = inf\n"),
+], ids=["negative-mass", "zero-momentum", "below-shell", "pt-m-1e308", "bradyon-m-1e308"])
+def test_invalid_spec_error_bytes(capsys, momentum, mass, species, err):
+    assert run_main(capsys, "spinor", "--species", species, "--momentum", momentum,
+                    "--mass", mass) == (2, "", err)
 
 
 def test_spinor_out_of_range_is_usage_error():

@@ -52,27 +52,28 @@ def test_mass_shell_constructor():
 
 
 def test_minkowski_dot_spots():
-    t = FourVector(1, 0, 0, 0)
+    t = np.array([1.0, 0, 0, 0])
     assert minkowski_dot(t, t) == 1.0
-    p = FourVector(4, 0, 0, 5)
+    p = np.array([4.0, 0, 0, 5])
     assert minkowski_dot(p, p) == -9.0
-    q = FourVector(5, 0, 0, 4)
+    q = np.array([5.0, 0, 0, 4])
     assert minkowski_dot(p, q) == 0.0
+    assert minkowski_dot(np.array([t, p]), np.array([t, q])).tolist() == [1.0, 0.0]
 
 
 def test_dual_momentum_spot():
-    d = dual_momentum(FourVector(4, 0, 0, 5))
-    assert np.allclose(d.as_array(), [5, 0, 0, 4], atol=1e-14)
+    d = dual_momentum((4, 0, 0, 5))
+    assert np.allclose(d, [5, 0, 0, 4], atol=1e-14)
 
 
 def test_dual_momentum_transcendent():
-    d = dual_momentum(FourVector(0, 0, 0, 3))
-    assert np.allclose(d.as_array(), [3, 0, 0, 0], atol=1e-15)
+    d = dual_momentum((0, 0, 0, 3))
+    assert np.allclose(d, [3, 0, 0, 0], atol=1e-15)
 
 
 def test_dual_momentum_zero_momentum_raises():
     with pytest.raises(ZeroMomentum):
-        dual_momentum(FourVector(4, 0, 0, 0))
+        dual_momentum((4, 0, 0, 0))
 
 
 def test_dual_momentum_identities_random(rng):
@@ -83,7 +84,7 @@ def test_dual_momentum_identities_random(rng):
             else m * rng.uniform(0.01, 10.0)
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        p = FourVector(energy_from_momentum(species, k, m), *(k * n))
+        p = np.array([energy_from_momentum(species, k, m), *(k * n)])
         d = dual_momentum(p)
         p2 = minkowski_dot(p, p)
         scale = max(1.0, abs(p2))
@@ -91,13 +92,14 @@ def test_dual_momentum_identities_random(rng):
         assert abs(minkowski_dot(d, d) + p2) / scale <= 1e-10
 
 
-def test_dual_momentum_rows_equal_the_four_vector_path(rng):
+def test_dual_momentum_rows_equal_the_scalar_formula(rng):
     p = np.column_stack([rng.uniform(0.0, 5.0, 50), rng.normal(size=(50, 3))])
     p[0] = (0.0, 0.0, 0.0, 3.0)
     rows = dual_momentum(p)
     assert rows.shape == (50, 4)
-    for row, q in zip(rows, p):
-        want = dual_momentum(FourVector.from_array(q)).as_array()
+    for row, (e, px, py, pz) in zip(rows, p.tolist()):
+        k = math.hypot(px, py, pz)
+        want = np.array([k, e * px / k, e * py / k, e * pz / k])
         assert np.max(np.abs(row - want)) <= 4e-16 * np.max(np.abs(want))
     with pytest.raises(ZeroMomentum):
         dual_momentum(np.array([[1.0, 2.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0]]))
@@ -213,7 +215,7 @@ def test_boost_rest_frame_formula():
 def test_boost_preserves_spacelike_norm():
     p = FourVector(4, 0, 0, 5)
     for zeta in (-1.5, -0.3, 0.4, 2.0):
-        q = boost(p, (0, 0, 1.0), zeta)
+        q = boost(p, (0, 0, 1.0), zeta).as_array()
         assert abs(minkowski_dot(q, q) + 9.0) <= 1e-12 * 9.0
 
 

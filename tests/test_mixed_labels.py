@@ -13,7 +13,7 @@ import pytest
 from ptdirac import observables, spinors, symmetries
 from ptdirac.clifford import Representation
 from ptdirac.kinematics import Species
-from ptdirac.spinors import PlaneWaveSpec
+from ptdirac.spinors import PlaneWaveSpec, SpecGroup
 
 LABELS = list(itertools.product((1, -1), (1, -1)))
 
@@ -21,9 +21,10 @@ LABELS = list(itertools.product((1, -1), (1, -1)))
 def mixed_specs():
     """Per species and basis, all four sign x helicity labels on a generic
     momentum, both poles and, for pseudotachyons, the transcendent point; the
-    labels alternate from spec to spec."""
+    labels alternate from spec to spec.  Returns the specs and, built from
+    the same arrays, one group per species and basis."""
     rng = np.random.default_rng(17)
-    specs = []
+    specs, groups = [], []
     for species in Species:
         for rep in Representation:
             m = 0.0 if species is Species.LUXON else rng.uniform(0.2, 3.0)
@@ -32,14 +33,16 @@ def mixed_specs():
                        (0.0, 0.0, -(1.2 * m + 0.1))]
             if species is Species.PSEUDOTACHYON:
                 momenta += [(0.0, 0.0, m), (0.6 * m, 0.0, 0.8 * m)]
-            for p in momenta:
-                for sign, lam in LABELS:
-                    specs.append(PlaneWaveSpec(species, sign, tuple(p), m, lam, rep))
-    return specs
+            rows = [(tuple(p), sign, lam) for p in momenta for sign, lam in LABELS]
+            ps, signs, lams = zip(*rows)
+            positions = np.arange(len(specs), len(specs) + len(rows))
+            groups.append(SpecGroup.from_arrays(species, rep, signs, lams, ps, [m] * len(rows),
+                                                positions))
+            specs += [PlaneWaveSpec(species, sign, p, m, lam, rep) for p, sign, lam in rows]
+    return specs, groups
 
 
-SPECS = mixed_specs()
-GROUPS = spinors.spec_groups(SPECS)
+SPECS, GROUPS = mixed_specs()
 IDS = [f"{g.species.value}-{g.rep.value}" for g in GROUPS]
 
 
@@ -108,9 +111,6 @@ def test_boost_rows_equal_single_specs(g):
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     zetas = rng.uniform(-2.0, 2.0, size=n)
     transformed, residual = symmetries.apply_boost(g, axes, zetas, spinors.group_amplitudes(g))
-    # each single spec gets its rapidity as a length-1 array: a bare float
-    # takes math.cosh, which may differ from np.cosh in the last ulp
-    single = [symmetries.apply_boost(s, axes[j:j + 1], zetas[j:j + 1])
-              for j, s in enumerate(specs)]
-    assert_rows_equal(transformed, lambda j: single[j][0][0], n)
-    assert_rows_equal(residual, lambda j: single[j][1][0], n)
+    single = [symmetries.apply_boost(s, axes[j], float(zetas[j])) for j, s in enumerate(specs)]
+    assert_rows_equal(transformed, lambda j: single[j][0], n)
+    assert_rows_equal(residual, lambda j: single[j][1], n)

@@ -15,14 +15,14 @@ from ptdirac.spinors import (
     TranscendentDivision,
     amplitude,
     amplitude_from_spinor,
-    amplitudes,
     convert_representation,
     dirac_operator,
+    four_momenta,
+    group_amplitudes,
     helicity_spinor,
     normalization_factor,
     proportionality_defect,
     solution_residual,
-    spec_groups,
 )
 
 STD = Representation.STANDARD
@@ -229,7 +229,7 @@ def test_adjoint_row_equation(std):
     w = amplitude(spec)
     from ptdirac.clifford import slash
     wbar = w.conj() @ std.gammas[0]
-    adj = slash(std, spec.four_momentum) + spec.mass * std.gamma5
+    adj = slash(std, four_momenta(spec)) + spec.mass * std.gamma5
     assert np.linalg.norm(wbar @ adj) / np.linalg.norm(w) <= 1e-11
 
 
@@ -279,7 +279,7 @@ def test_from_spinor_solves_equation_and_matches_helicity(rep, species, p, m, st
     for sign in (1, -1):
         for lam in (1, -1):
             spec = PlaneWaveSpec(species, sign, p, m, lam, rep)
-            theta = helicity_spinor(spec.direction, spec.helicity_eigenvalue)
+            theta = helicity_spinor(p, spec.helicity_eigenvalue)
             w = amplitude_from_spinor(species, sign, p, m, theta, rep)
             d = dirac_operator(spec)
             assert np.linalg.norm(d @ w) / np.linalg.norm(w) <= 1e-12
@@ -371,6 +371,19 @@ def test_extreme_momenta_construct_with_finite_amplitude(species, p, m, rep):
 
 
 @pytest.mark.parametrize("species,p,m", [
+    (Species.PSEUDOTACHYON, (1e200, 0.0, 0.0), 1.0),
+    (Species.BRADYON, (1e-300, 0.0, 0.0), 1e-300),
+], ids=["1e200", "1e-300"])
+def test_amplitude_from_spinor_at_extreme_momenta(species, p, m):
+    """The general-spinor form takes |p| by the scaled norm of the spec."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = amplitude_from_spinor(species, 1, p, m, helicity_spinor(p, 1), STD)
+        assert np.all(np.isfinite(w))
+        assert proportionality_defect(w, amplitude(PlaneWaveSpec(species, 1, p, m, 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("species,p,m", [
     (Species.BRADYON, (0.0, 0.0, 5.0), 1e308),          # 2 eps and eps + m overflow
     (Species.PSEUDOTACHYON, (1e308, 1e308, 0.0), 1.0),  # 2k overflows
     (Species.LUXON, (1.7e308, 0.0, 0.0), 0.0),
@@ -457,6 +470,17 @@ def kernel_specs():
     return specs
 
 
+def groups_of(specs):
+    """One `SpecGroup` per species and basis, built from the fields of the specs."""
+    groups = []
+    for species, rep in dict.fromkeys((s.species, s.rep) for s in specs):
+        rows = [i for i, s in enumerate(specs) if (s.species, s.rep) == (species, rep)]
+        fields = [[getattr(specs[i], name) for i in rows]
+                  for name in ("energy_sign", "helicity", "momentum", "mass")]
+        groups.append(SpecGroup.from_arrays(species, rep, *fields, rows))
+    return groups
+
+
 def fresh(spec):
     return PlaneWaveSpec(spec.species, spec.energy_sign, spec.momentum, spec.mass,
                          spec.helicity, spec.rep)
@@ -467,17 +491,18 @@ def test_batch_rows_equal_single_amplitudes_bit_for_bit():
     labels = {(s.species, s.energy_sign, s.helicity, s.rep) for s in specs}
     assert len(labels) == 24
     assert sum(s.epsilon == 0.0 for s in specs) >= 8
-    batch = amplitudes(specs)
-    for row, spec in zip(batch, specs):
-        assert row.tobytes() == amplitude(fresh(spec)).tobytes(), spec
+    groups = groups_of(specs)
+    assert sorted(np.concatenate([g.rows for g in groups])) == list(range(len(specs)))
+    for g in groups:
+        for i, row in zip(g.rows, group_amplitudes(g)):
+            assert row.tobytes() == amplitude(fresh(specs[i])).tobytes(), specs[i]
 
 
 def test_batch_bilinears_match_expectation_report():
     from ptdirac.observables import bilinears, expectation_report, mean_four_vectors
     specs = [s for s in kernel_specs() if s.mass > 0]
-    batch = amplitudes(specs)
-    for g in spec_groups(specs):
-        b = bilinears(batch[g.rows], g.rep)
+    for g in groups_of(specs):
+        b = bilinears(group_amplitudes(g), g.rep)
         v = b[:, 1:4] / b[:, :1]
         vbar, sbar = mean_four_vectors(g, b)
         for j, i in enumerate(g.rows):

@@ -158,13 +158,12 @@ def test_drawn_groups_agree_with_specs_built_one_by_one(group, options):
                                         g.mass):
             specs[row] = spinors.PlaneWaveSpec(g.species, int(sign), tuple(p), float(m),
                                                int(lam), g.rep)
-    regrouped = spinors.spec_groups(specs)
-    assert [(g.species, g.rep) for g in regrouped] == [(g.species, g.rep) for g in drawn]
-    for g, h in zip(drawn, regrouped):
-        assert np.array_equal(g.rows, h.rows)
+    assert None not in specs
+    for g in drawn:
         # |p| and the shell energy come from the same laws, entry by entry
         for field in COLUMNS:
-            assert np.array_equal(getattr(g, field), getattr(h, field)), field
+            column = [getattr(specs[row], field) for row in g.rows]
+            assert np.array_equal(getattr(g, field), column), field
         w = spinors.group_amplitudes(g)
         for row, w_row in zip(g.rows, w):
             assert w_row.tobytes() == spinors.amplitude(specs[row]).tobytes()
