@@ -149,7 +149,10 @@ def contract(coeffs, stack: np.ndarray) -> np.ndarray:
     (k, 16).  The result has the leading axes of ``coeffs`` followed by (4, 4).
     """
     c = np.asarray(coeffs)
-    return (c @ stack.reshape(len(stack), 16)).reshape(c.shape[:-1] + (4, 4))
+    flat = stack.reshape(len(stack), 16)
+    if c.ndim > 2:  # one matmul over every row, not one per leading index
+        return (c.reshape(-1, c.shape[-1]) @ flat).reshape(c.shape[:-1] + (4, 4))
+    return (c @ flat).reshape(c.shape[:-1] + (4, 4))
 
 
 def slash(gs: GammaSet, p) -> np.ndarray:

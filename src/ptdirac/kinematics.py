@@ -66,8 +66,8 @@ class FourVector:
 def minkowski_dot(a, b):
     """a.b with metric (+, -, -, -), row by row of two arrays whose last axis
     holds (e, px, py, pz)."""
-    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
+    ab = a * b
+    return ab[..., 0] - ab[..., 1] - ab[..., 2] - ab[..., 3]
 
 
 def energy_from_momentum(species: Species, k, m):
@@ -209,15 +209,17 @@ def _cosh_sinh(rapidity):
     return ch, sh
 
 
-def _boost_arrays(p4: np.ndarray, n: np.ndarray, rapidity) -> np.ndarray:
-    """`boost` of four-vectors (..., 4) along unit axes (..., 3), row by row."""
-    ch, sh = _cosh_sinh(rapidity)
+def _boost_arrays(p4: np.ndarray, n: np.ndarray, rapidity, cosh_sinh=None) -> np.ndarray:
+    """`boost` of four-vectors (..., 4) along unit axes (..., 3), row by row;
+    ``cosh_sinh``, if given, is `_cosh_sinh` of the rapidity already taken."""
+    ch, sh = _cosh_sinh(rapidity) if cosh_sinh is None else cosh_sinh
     e, pv = p4[..., 0], p4[..., 1:]
     p_par = np.add.reduce(pv * n, axis=-1)
     perp = pv - p_par[..., None] * n
-    e2 = e * ch - p_par * sh
-    par2 = p_par * ch - e * sh
-    return np.concatenate([np.asarray(e2)[..., None], perp + par2[..., None] * n], axis=-1)
+    out = np.empty(perp.shape[:-1] + (4,))
+    out[..., 0] = e * ch - p_par * sh
+    out[..., 1:] = perp + (p_par * ch - e * sh)[..., None] * n
+    return out
 
 
 def boost(p: FourVector, axis, rapidity: float) -> FourVector:

@@ -149,12 +149,13 @@ def constraint_values(spec, vbar: np.ndarray, sbar: np.ndarray) -> np.ndarray:
     order of its names in `constraint_residuals`."""
     p4 = four_momenta(spec)
     m = np.asarray(spec.mass)
-    p2 = minkowski_dot(p4, p4)
-    pv = minkowski_dot(p4, vbar)
-    ps = minkowski_dot(p4, sbar)
+    p2, pv, ps = minkowski_dot(p4, np.array([p4, vbar, sbar]))
+    out = np.empty(np.shape(p2) + (3,))
     if spec.species is Species.BRADYON:
-        return np.stack([p2 - m * m, pv - m, ps], axis=-1)
-    return np.stack([p2 + m * m, pv, ps + m * spec.helicity_eigenvalue], axis=-1)
+        out[..., 0], out[..., 1], out[..., 2] = p2 - m * m, pv - m, ps
+    else:
+        out[..., 0], out[..., 1], out[..., 2] = p2 + m * m, pv, ps + m * spec.helicity_eigenvalue
+    return out
 
 
 def constraint_residuals(spec: PlaneWaveSpec) -> dict[str, float]:
@@ -172,13 +173,11 @@ def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:
     contraction."""
     b = bilinears(amplitude(spec), spec.rep)
     vbar, sbar = mean_four_vectors(spec, b)
-    v = b[1:4] / b[0]
     names = _CONSTRAINT_NAMES[Species.BRADYON if spec.species is Species.BRADYON
                               else Species.PSEUDOTACHYON]
     return ExpectationReport(
-        mean_velocity=(float(v[0]), float(v[1]), float(v[2])),
+        mean_velocity=tuple((b[1:4] / b[0]).tolist()),
         mean_four_velocity=FourVector.from_array(vbar),
         mean_spin_four_vector=FourVector.from_array(sbar),
-        constraint_residuals={name: float(r) for name, r
-                              in zip(names, constraint_values(spec, vbar, sbar))},
+        constraint_residuals=dict(zip(names, constraint_values(spec, vbar, sbar).tolist())),
     )

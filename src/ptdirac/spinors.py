@@ -54,7 +54,7 @@ def _helicity_spinors(n: np.ndarray, lam) -> np.ndarray:
     phase[0] = 1.0
     np.divide(n.T[:2], rho, out=phase, where=rho != 0.0)
     t, u = s * (phase / np.hypot(*phase))
-    zero = np.zeros_like(c)
+    zero = np.zeros(len(n))
     # lam = +1: (c, e^{i phi} s); lam = -1: (-e^{-i phi} s, c), as (re, im, re, im)
     parts = np.where(np.equal(lam, 1), [c, zero, t, u], [-t, u, c, zero])
     return np.ascontiguousarray(parts.T).view(complex)
@@ -96,9 +96,20 @@ _ZERO_MOMENTUM = "plane-wave spec needs |p| > 0 (helicity direction)"
 # 2 x overflows exactly when x exceeds half the largest float
 _HALF_MAX = sys.float_info.max / 2.0
 
+_ONE_ROW = {label: np.array([label]) for label in (1, -1)}
+for _row in _ONE_ROW.values():
+    _row.setflags(write=False)
+
 
 def _label_columns(energy_sign, helicity, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The labels as (n,) integer columns, each given as one +-1 or n of them."""
+    """The labels as (n,) integer columns, each given as one +-1 or n of them.
+
+    Two int labels on one row (every `PlaneWaveSpec`) take read-only
+    constant columns without an array pass.
+    """
+    if n == 1 and type(energy_sign) is type(helicity) is int \
+            and energy_sign in _ONE_ROW and helicity in _ONE_ROW:
+        return _ONE_ROW[energy_sign], _ONE_ROW[helicity]
     given = (("energy_sign", energy_sign), ("helicity", helicity))
     labels = np.empty((2, n))
     for row, (name, label) in enumerate(given):
@@ -133,7 +144,8 @@ class SpecGroup:
 
     Species and basis choose the closed forms and the gamma matrices, so they
     are scalars; ``energy_sign`` and ``helicity`` are (n,) columns of +-1,
-    ``momentum`` is (n, 3) and ``k``, ``mass``, ``epsilon`` are (n,).  A
+    ``momentum`` is (n, 3), ``k``, ``mass``, ``epsilon`` are (n,) and
+    ``four_momentum`` holds the read-only rows (eps; p), (n, 4).  A
     `PlaneWaveSpec` is a group of one with the same attributes as scalars, so
     the functions documented to take "a spec or a group" compute one row per
     spec, each with its own labels.  ``rows`` holds the positions of the
@@ -149,6 +161,7 @@ class SpecGroup:
     k: np.ndarray
     mass: np.ndarray
     epsilon: np.ndarray
+    four_momentum: np.ndarray
 
     @property
     def helicity_eigenvalue(self) -> np.ndarray:
@@ -188,8 +201,10 @@ class SpecGroup:
         ok = half_target <= _HALF_MAX
         if np.count_nonzero(ok) != ok.size:
             raise _out_of_range(species, 2.0 * float(half_target[~ok][0]))
+        p4 = np.concatenate([eps[:, None], p], axis=1)
+        p4.setflags(write=False)
         return cls(species, rep, rows=np.asarray(rows), energy_sign=sign, helicity=lam,
-                   momentum=p, k=k, mass=m, epsilon=eps)
+                   momentum=p, k=k, mass=m, epsilon=eps, four_momentum=p4)
 
 
 _ROW0 = np.zeros(1, dtype=int)
@@ -205,9 +220,11 @@ class PlaneWaveSpec:
     label lambda; the actual helicity eigenvalue of the amplitude is
     ``helicity_eigenvalue`` = energy_sign * helicity.  Construction builds
     the spec's `SpecGroup` of one with `SpecGroup.from_arrays`, which
-    validates it and raises what that raises; ``k`` (|p|) and ``epsilon``
-    (the shell energy) are read from its row 0, and `amplitude` computes row
-    0 of `group_amplitudes` on it.
+    validates it and raises what that raises; ``k`` (|p|), ``epsilon``
+    (the shell energy) and ``four_momentum`` (eps; p) are read from its row
+    0, and `amplitude` computes row 0 of `group_amplitudes` on it.  The
+    amplitude and the discrete images are computed on first use and kept on
+    the spec, read-only.
     """
 
     species: Species
@@ -224,6 +241,7 @@ class PlaneWaveSpec:
         object.__setattr__(self, "_group", g)
         object.__setattr__(self, "_k", float(g.k[0]))
         object.__setattr__(self, "_epsilon", float(g.epsilon[0]))
+        object.__setattr__(self, "four_momentum", g.four_momentum[0])
 
     @property
     def k(self) -> float:
@@ -238,10 +256,22 @@ class PlaneWaveSpec:
         return self.energy_sign * self.helicity
 
 
+def _memoized(spec: PlaneWaveSpec, name: str, compute):
+    """``compute()`` on the first call for ``name`` on a spec, kept on the spec
+    (read-only, with every array inside it) and returned from then on."""
+    value = spec.__dict__.get(name)
+    if value is None:
+        value = compute()
+        for a in value if isinstance(value, tuple) else (value,):
+            a.setflags(write=False)
+        object.__setattr__(spec, name, value)
+    return value
+
+
 def four_momenta(spec) -> np.ndarray:
-    """(eps; p) of a spec, shape (4,), or of each spec of a group, shape (n, 4)."""
-    eps = np.asarray(spec.epsilon, dtype=float)
-    return np.concatenate([eps[..., None], np.asarray(spec.momentum, dtype=float)], axis=-1)
+    """(eps; p) of a spec, shape (4,), or of each spec of a group, shape (n, 4);
+    the rows stored on the group, read-only."""
+    return spec.four_momentum
 
 
 def _block_factors(g: SpecGroup) -> np.ndarray:
@@ -289,12 +319,7 @@ def amplitude(spec: PlaneWaveSpec) -> np.ndarray:
     Row 0 of `group_amplitudes` on the spec's group of one, computed on first
     use and kept on the spec; the array is read-only.
     """
-    w = spec.__dict__.get("_amplitude")
-    if w is None:
-        w = group_amplitudes(spec._group)[0]
-        w.setflags(write=False)
-        object.__setattr__(spec, "_amplitude", w)
-    return w
+    return _memoized(spec, "_amplitude", lambda: group_amplitudes(spec._group)[0])
 
 
 def amplitude_from_spinor(species: Species, energy_sign: int, momentum, mass: float,
@@ -317,9 +342,9 @@ def amplitude_from_spinor(species: Species, energy_sign: int, momentum, mass: fl
     two = np.asarray(chi_or_phi, dtype=complex)
     if two.shape != (2,):
         raise ValueError("chi_or_phi must be a two-component spinor")
-    psig = sum(p[i] * PAULI[i] for i in range(3))
     tachyonic = species is not Species.BRADYON
     if rep is Representation.STANDARD:
+        psig = sum(p[i] * PAULI[i] for i in range(3))
         if tachyonic:
             if eps == 0.0:
                 raise TranscendentDivision(
@@ -334,16 +359,25 @@ def amplitude_from_spinor(species: Species, energy_sign: int, momentum, mass: fl
     if mass == 0.0:
         raise ValueError("massless chiral amplitudes are not parameterized by a "
                          "single two-spinor; use amplitude()")
-    if tachyonic:
-        if energy_sign == 1:
-            linked = (psig - eps * np.eye(2)) @ two / mass
-            return np.concatenate([two, linked])
-        linked = -(psig + eps * np.eye(2)) @ two / mass
-        return np.concatenate([linked, two])
+    # Split the two-spinor by helicity, two = alpha theta_+ + beta theta_-:
+    # theta_+- theta_+-^dag are the projectors (1 +- p.sigma/k)/2, and a
+    # helicity spinor of p itself gets an exactly zero coefficient on the other.
+    n = p / k
+    theta = _helicity_spinors(np.array([n, n]), np.array([1, -1]))
+    alpha, beta = np.sum(theta.conj() * two, axis=1)
+    # p.sigma theta_+- = +-k theta_+-, so each form scales the helicities by
+    # (k + eps)/m or by the cancelling (k - eps)/m (pseudotachyon),
+    # (eps - k)/m (bradyon), taken in its stable form m/(k + eps)
+    big, small = (k + eps) / mass, mass / (k + eps)
     if energy_sign == 1:
-        linked = (eps * np.eye(2) - psig) @ two / mass
+        # (p.sigma - eps) phi / m, (eps - p.sigma) phi / m
+        plus, minus = small, -big if tachyonic else big
+    else:
+        # -(p.sigma + eps) chi / m, -(eps + p.sigma) chi / m
+        plus, minus = -big, small if tachyonic else -small
+    linked = plus * alpha * theta[0] + minus * beta * theta[1]
+    if energy_sign == 1:
         return np.concatenate([two, linked])
-    linked = -(eps * np.eye(2) + psig) @ two / mass
     return np.concatenate([linked, two])
 
 
@@ -370,9 +404,14 @@ def dirac_operator(spec) -> np.ndarray:
 
 
 def relative_residual(op: np.ndarray, w: np.ndarray):
-    """|op w| / |w| of a bispinor, or row by row of stacked operators and bispinors."""
-    return (np.linalg.norm(np.einsum("...ij,...j->...i", op, w), axis=-1)
-            / np.linalg.norm(w, axis=-1))
+    """|op w| / |w| of a bispinor, or row by row of stacked operators and bispinors.
+
+    The norms are the operations of ``np.linalg.norm(x, axis=-1)``,
+    sqrt(add.reduce(Re(conj(x) x))), written out.
+    """
+    r = np.einsum("...ij,...j->...i", op, w)
+    return (np.sqrt(np.add.reduce((r.conj() * r).real, axis=-1))
+            / np.sqrt(np.add.reduce((w.conj() * w).real, axis=-1)))
 
 
 def solution_residual(spec, w: Optional[np.ndarray] = None):

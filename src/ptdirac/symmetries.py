@@ -29,7 +29,8 @@ import numpy as np
 
 from .clifford import METRIC, PAIRS, Representation, contract, dagger, gamma_set
 from .kinematics import Species, _boost_arrays, _cosh_sinh, _unit_axis
-from .spinors import amplitude, four_momenta, relative_residual, wave_operator
+from .spinors import (_EYE4, PlaneWaveSpec, _memoized, amplitude, four_momenta, relative_residual,
+                      wave_operator)
 
 
 class DiscreteKind(enum.Enum):
@@ -86,6 +87,62 @@ def discrete_operator(kind: DiscreteKind, sector: Sector,
                           matrix=matrix, conjugates_argument=conj)
 
 
+_KINDS = tuple(DiscreteKind)
+_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
+# The target wave of each kind, in the order of DiscreteKind: P and T send
+# (eps; p) to (eps; -p), C and I flip the sign of the mass term.
+_MOMENTUM_SIGNS = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0],
+                            [1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
+_MASS_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+@functools.lru_cache(maxsize=None)
+def _discrete_stack(sector: Sector, rep: Representation) -> np.ndarray:
+    """The four `discrete_operator` matrices of one sector and basis as a
+    (2, 4, 4, 4) stack S[c, k] (kind k in the order of DiscreteKind), S[0, k]
+    acting on w and S[1, k] on conj(w), the other one of each pair zero.
+
+    Returned read-only and flattened to (8, 16), rows (c, j) and columns
+    (k, i), so that (w, conj w) concatenated, times it, is U_k w or U_k conj(w)
+    for all four kinds in one matmul.
+    """
+    stack = np.zeros((2, 4, 4, 4), dtype=complex)
+    for i, kind in enumerate(_KINDS):
+        op = discrete_operator(kind, sector, rep)
+        stack[int(op.conjugates_argument), i] = op.matrix
+    flat = stack.transpose(0, 3, 1, 2).reshape(8, 16)
+    flat.setflags(write=False)
+    return flat
+
+
+def _images(spec, w) -> tuple[np.ndarray, np.ndarray]:
+    """`discrete_images` of a spec or group with its amplitudes ``w``, uncached."""
+    both = np.concatenate([w, w.conj()], axis=-1)
+    transformed = (both @ _discrete_stack(sector_for(spec.species), spec.rep)).reshape(
+        w.shape[:-1] + (4, 4))
+    p4 = four_momenta(spec)[..., None, :] * _MOMENTUM_SIGNS
+    signed_mass = (spec.energy_sign * np.asarray(spec.mass))[..., None] * _MASS_SIGNS
+    target = wave_operator(gamma_set(spec.rep), p4, signed_mass,
+                           spec.species is not Species.BRADYON)
+    return transformed, relative_residual(target, transformed)
+
+
+def discrete_images(spec, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """`apply_discrete` of every kind at once, in the order of DiscreteKind.
+
+    Returns the transformed bispinors (..., 4, 4), one row per kind, and the
+    residuals (..., 4).  Both come from one pass: the (2, 4, 4, 4) operator
+    stack of the sector and basis applied to (w, conj w), and one
+    `wave_operator` stack of the four targets with one `relative_residual`.
+    For a `PlaneWaveSpec` and its own amplitude (``w`` None or
+    ``amplitude(spec)``) the result is computed once and kept on the spec,
+    read-only.
+    """
+    if isinstance(spec, PlaneWaveSpec) and (w is None or w is spec.__dict__.get("_amplitude")):
+        return _memoized(spec, "_discrete_images", lambda: _images(spec, amplitude(spec)))
+    return _images(spec, w)
+
+
 def apply_discrete(kind: DiscreteKind, spec, w=None) -> tuple[np.ndarray, float]:
     """Transform the amplitude of ``spec`` and verify it solves the mapped wave.
 
@@ -94,21 +151,13 @@ def apply_discrete(kind: DiscreteKind, spec, w=None) -> tuple[np.ndarray, float]
     to it.  P and T send the wave to momentum -p at the same energy sign; C
     and I exchange the u and v families at the same momentum, which flips the
     sign of the mass term.  For a group, ``w`` holds one amplitude per spec,
-    and both results have one row per spec.
+    and both results have one row per spec.  This is one kind of
+    `discrete_images`, so the four kinds of one spec cost one pass.
     """
-    op = discrete_operator(kind, sector_for(spec.species), spec.rep)
-    if w is None:
-        w = amplitude(spec)
-    transformed = (np.conj(w) if op.conjugates_argument else w) @ op.matrix.T
-    p4 = four_momenta(spec)
-    signed_mass = spec.energy_sign * np.asarray(spec.mass)
-    if kind in (DiscreteKind.PARITY, DiscreteKind.TIME_INVERSION):
-        p4 = np.concatenate([p4[..., :1], -p4[..., 1:]], axis=-1)
-    else:
-        signed_mass = -signed_mass
-    target = wave_operator(gamma_set(spec.rep), p4, signed_mass,
-                           spec.species is not Species.BRADYON)
-    return transformed, relative_residual(target, transformed)
+    transformed, residuals = discrete_images(spec, w)
+    i = _KIND_INDEX[kind]
+    # [()] turns the 0-d residual of one spec into a float, as one norm gives
+    return transformed[..., i, :], residuals[..., i][()]
 
 
 def pct_product(sector: Sector, rep: Representation) -> np.ndarray:
@@ -174,6 +223,13 @@ def first_order_covariance_residual(delta_omega,
     return worst
 
 
+def _boost_spinors(n: np.ndarray, ch, sh, rep: Representation) -> np.ndarray:
+    """cosh(zeta/2) I - sinh(zeta/2) alpha.n from unit axes and the cosh and
+    sinh of the half rapidities."""
+    a_n = contract(n, gamma_set(rep).alpha_stack)
+    return np.asarray(ch)[..., None, None] * _EYE4 - np.asarray(sh)[..., None, None] * a_n
+
+
 def lorentz_boost_spinor(axis, rapidity,
                          rep: Representation = Representation.STANDARD) -> np.ndarray:
     """Finite bispinor boost cosh(zeta/2) I - sinh(zeta/2) alpha.n.
@@ -181,11 +237,8 @@ def lorentz_boost_spinor(axis, rapidity,
     (alpha.n)^2 = I closes the exponential series exactly; det S = 1 and
     [S, gamma^5] = 0.  Axes (..., 3) with rapidities (...) give one map per row.
     """
-    n = _unit_axis(axis)
-    ch, sh = _cosh_sinh(np.asarray(rapidity, dtype=float) / 2.0)
-    a_n = contract(n, gamma_set(rep).alpha_stack)
-    return (np.asarray(ch)[..., None, None] * np.eye(4)
-            - np.asarray(sh)[..., None, None] * a_n)
+    return _boost_spinors(_unit_axis(axis),
+                          *_cosh_sinh(np.asarray(rapidity, dtype=float) / 2.0), rep)
 
 
 def apply_boost(spec, axis, rapidity, w=None) -> tuple[np.ndarray, float]:
@@ -194,14 +247,17 @@ def apply_boost(spec, axis, rapidity, w=None) -> tuple[np.ndarray, float]:
     The boosted pseudotachyon energy may go negative, so the target operator
     is built directly from the boosted raw four-vector rather than from a new
     plane-wave spec.  For a group, ``w``, the axes and the rapidities have one
-    row per spec, and so do both results.
+    row per spec, and so do both results.  The axis is checked once, and the
+    cosh and sinh of zeta/2 (the spinor map) and of zeta (the four-momentum)
+    come from one `_cosh_sinh` call.
     """
     n = _unit_axis(axis)
     if w is None:
         w = amplitude(spec)
-    s = lorentz_boost_spinor(n, rapidity, spec.rep)
-    transformed = np.einsum("...ij,...j->...i", s, w)
-    q = _boost_arrays(four_momenta(spec), n, rapidity)
+    zeta = np.asarray(rapidity, dtype=float)
+    ch, sh = _cosh_sinh(np.array([zeta / 2.0, zeta]))
+    transformed = np.einsum("...ij,...j->...i", _boost_spinors(n, ch[0], sh[0], spec.rep), w)
+    q = _boost_arrays(four_momenta(spec), n, zeta, (ch[1], sh[1]))
     target = wave_operator(gamma_set(spec.rep), q, spec.energy_sign * spec.mass,
                            spec.species is not Species.BRADYON)
     return transformed, relative_residual(target, transformed)

@@ -398,8 +398,7 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     groups = random_spec(seed, "symmetries", trials)
     for g in groups:
         w = spinors.group_amplitudes(g)
-        for kind in symmetries.DiscreteKind:
-            inter.append(symmetries.apply_discrete(kind, g, w)[1])
+        inter.append(symmetries.discrete_images(g, w)[1])
         bcov.append(symmetries.apply_boost(g, axes[g.rows], zetas[g.rows], w)[1])
 
     # the spinor maps themselves depend only on the basis

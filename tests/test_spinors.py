@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -284,6 +285,33 @@ def test_from_spinor_solves_equation_and_matches_helicity(rep, species, p, m, st
             d = dirac_operator(spec)
             assert np.linalg.norm(d @ w) / np.linalg.norm(w) <= 1e-12
             assert proportionality_defect(w, amplitude(spec)) <= 1e-12
+
+
+def _unit_directions():
+    rng = np.random.default_rng(23)
+    dirs = rng.normal(size=(4, 3))
+    return [(1.0, 0.0, 0.0), (0.0, 0.0, -1.0), *(dirs / np.linalg.norm(dirs, axis=1)[:, None])]
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 2**-40, 10.0, 1e5, 1e9, 1e50, 1e200])
+@pytest.mark.parametrize("species", [Species.PSEUDOTACHYON, Species.BRADYON])
+def test_weyl_amplitude_from_spinor_is_stable_at_large_k_over_m(species, ratio):
+    """The chiral forms scale the two helicities by (k + eps)/m and by the
+    cancelling (k - eps)/m or (eps - k)/m, taken as m/(k + eps): fed a
+    helicity spinor they reproduce the closed amplitude as a ray for every
+    k/m, both helicities and both energy signs.  The difference k - eps
+    itself keeps no digits once k/m passes about 1e8."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for direction, m in itertools.product(_unit_directions(), (1.0, 2.5)):
+            p = tuple(ratio * m * c for c in direction)
+            for sign, lam in itertools.product((1, -1), (1, -1)):
+                spec = PlaneWaveSpec(species, sign, p, m, lam, WEYL)
+                theta = helicity_spinor(p, spec.helicity_eigenvalue)
+                w = amplitude_from_spinor(species, sign, p, m, theta, WEYL)
+                # the defect is scale-free; scaling keeps its norms finite
+                w, ref = w / np.max(np.abs(w)), amplitude(spec) / np.max(np.abs(amplitude(spec)))
+                assert proportionality_defect(w, ref) <= 1e-12, (p, sign, lam)
 
 
 # ---------------------------------------------------------------- normalization
