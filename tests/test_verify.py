@@ -1,6 +1,8 @@
 """A NaN residual in any one trial must fail its check and the whole run."""
+import importlib.util
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,3 +175,28 @@ def test_a_single_trial_runs():
     report = verify.run_all(SEED, 1, TOL)
     assert report.passed
     assert len(report.checks) == 32
+
+
+# ------------------------------------------------------------- golden grid
+
+GOLDEN = Path(__file__).parent / "golden"
+# the grid's residuals come from numpy's PCG64 Generator streams, which numpy
+# does not promise to keep across versions (NEP 19)
+GOLDEN_NUMPY = "2.4.6"
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"the golden verify grid was computed under numpy "
+                           f"{GOLDEN_NUMPY}, whose random streams other versions "
+                           f"need not reproduce (NEP 19); this is numpy {np.__version__}")
+def test_verify_grid_matches_the_golden_bytes():
+    """Every check's worst residual, bit for bit, over seeds x trial counts;
+    the grid and its generator are described in tests/golden/make_verify_grid.py."""
+    spec = importlib.util.spec_from_file_location("make_verify_grid",
+                                                  GOLDEN / "make_verify_grid.py")
+    make = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make)
+    got, want = make.render(), make.PATH.read_text(encoding="utf-8")
+    if got != want:
+        first = next(a for a, b in zip(got.splitlines(), want.splitlines()) if a != b)
+        raise AssertionError(f"first differing line: {first!r}")
