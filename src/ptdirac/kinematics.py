@@ -111,9 +111,12 @@ def dual_momentum(p):
     last axis holds (e, px, py, pz), dualized row by row.  The definition is
     componentwise in the given frame; it is not claimed (nor tested) to
     transform as a four-vector under boosts that are not collinear with p.
+    |p| is taken on p scaled exactly by the power of two of its largest
+    component, so it neither overflows at 1e200 nor underflows at 1e-300.
     """
     p = np.asarray(p, dtype=float)
-    k = np.linalg.norm(p[..., 1:], axis=-1)
+    scale = np.ldexp(1.0, np.frexp(np.abs(p[..., 1:]).max(axis=-1))[1])
+    k = np.linalg.norm(p[..., 1:] / scale[..., None], axis=-1) * scale
     if np.any(k == 0.0):
         raise ZeroMomentum("dual momentum undefined at |p| = 0")
     return np.concatenate([k[..., None], (p[..., 0] / k)[..., None] * p[..., 1:]], axis=-1)

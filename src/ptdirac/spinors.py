@@ -454,10 +454,11 @@ def proportionality_defect(a: np.ndarray, b: np.ndarray) -> float:
     Equals sqrt(|a|^2 |b|^2 - |a^dag b|^2) / (|a| |b|), evaluated as the norm
     of the Gram-Schmidt rejection, which does not cancel catastrophically for
     nearly parallel vectors.  Vectors lie along the last axis; stacked
-    vectors give one defect per row.
+    vectors give one defect per row.  Each vector is first scaled exactly by
+    the power of two of its largest |entry|, so its norm cannot overflow.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = (x / np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1])
+            for x in (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
     na = np.linalg.norm(a, axis=-1, keepdims=True)
     nb = np.linalg.norm(b, axis=-1, keepdims=True)
     if not (np.all(na != 0.0) and np.all(nb != 0.0)):

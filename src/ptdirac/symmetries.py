@@ -89,11 +89,10 @@ def discrete_operator(kind: DiscreteKind, sector: Sector,
 
 _KINDS = tuple(DiscreteKind)
 _KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
-# The target wave of each kind, in the order of DiscreteKind: P and T send
-# (eps; p) to (eps; -p), C and I flip the sign of the mass term.
-_MOMENTUM_SIGNS = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0],
-                            [1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
-_MASS_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+# The two target waves: P and T send (eps; p) to (eps; -p), C and I flip the
+# sign of the mass term.  In the order of DiscreteKind, kind 2a + b has target b.
+_MOMENTUM_SIGNS = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
+_MASS_SIGNS = np.array([1.0, -1.0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,14 +116,17 @@ def _discrete_stack(sector: Sector, rep: Representation) -> np.ndarray:
 
 def _images(spec, w) -> tuple[np.ndarray, np.ndarray]:
     """`discrete_images` of a spec or group with its amplitudes ``w``, uncached."""
+    rows = w.shape[:-1]
     both = np.concatenate([w, w.conj()], axis=-1)
-    transformed = (both @ _discrete_stack(sector_for(spec.species), spec.rep)).reshape(
-        w.shape[:-1] + (4, 4))
+    # the images as (..., a, b, 4), kind 2a + b, each pair against its target b
+    images = (both @ _discrete_stack(sector_for(spec.species), spec.rep)).reshape(
+        rows + (2, 2, 4))
     p4 = four_momenta(spec)[..., None, :] * _MOMENTUM_SIGNS
     signed_mass = (spec.energy_sign * np.asarray(spec.mass))[..., None] * _MASS_SIGNS
     target = wave_operator(gamma_set(spec.rep), p4, signed_mass,
                            spec.species is not Species.BRADYON)
-    return transformed, relative_residual(target, transformed)
+    residuals = relative_residual(target[..., None, :, :, :], images)
+    return images.reshape(rows + (4, 4)), residuals.reshape(rows + (4,))
 
 
 def discrete_images(spec, w=None) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +135,9 @@ def discrete_images(spec, w=None) -> tuple[np.ndarray, np.ndarray]:
     Returns the transformed bispinors (..., 4, 4), one row per kind, and the
     residuals (..., 4).  Both come from one pass: the (2, 4, 4, 4) operator
     stack of the sector and basis applied to (w, conj w), and one
-    `wave_operator` stack of the four targets with one `relative_residual`.
+    `wave_operator` stack of the two targets, (eps; -p) with the mass term of
+    w for P and T and (eps; p) with the opposite one for C and I, each applied
+    to its pair of images in one `relative_residual`.
     For a `PlaneWaveSpec` and its own amplitude (``w`` None or
     ``amplitude(spec)``) the result is computed once and kept on the spec,
     read-only.
@@ -152,7 +156,10 @@ def apply_discrete(kind: DiscreteKind, spec, w=None) -> tuple[np.ndarray, float]
     and I exchange the u and v families at the same momentum, which flips the
     sign of the mass term.  For a group, ``w`` holds one amplitude per spec,
     and both results have one row per spec.  This is one kind of
-    `discrete_images`, so the four kinds of one spec cost one pass.
+    `discrete_images`, so the four kinds of one spec cost one pass.  Only a
+    `PlaneWaveSpec` keeps that pass: on a `SpecGroup` each call makes it
+    again, so a caller that needs several kinds of a group should call
+    `discrete_images` once.
     """
     transformed, residuals = discrete_images(spec, w)
     i = _KIND_INDEX[kind]
@@ -256,8 +263,14 @@ def apply_boost(spec, axis, rapidity, w=None) -> tuple[np.ndarray, float]:
         w = amplitude(spec)
     zeta = np.asarray(rapidity, dtype=float)
     ch, sh = _cosh_sinh(np.array([zeta / 2.0, zeta]))
-    transformed = np.einsum("...ij,...j->...i", _boost_spinors(n, ch[0], sh[0], spec.rep), w)
-    q = _boost_arrays(four_momenta(spec), n, zeta, (ch[1], sh[1]))
+    return _boosted(spec, w, _boost_spinors(n, ch[0], sh[0], spec.rep), n, zeta, (ch[1], sh[1]))
+
+
+def _boosted(spec, w, s, n, zeta, cosh_sinh) -> tuple[np.ndarray, np.ndarray]:
+    """`apply_boost` with the spinor maps ``s``, the unit axes ``n`` and the
+    cosh and sinh of zeta (not zeta/2) already built."""
+    transformed = np.einsum("...ij,...j->...i", s, w)
+    q = _boost_arrays(four_momenta(spec), n, zeta, cosh_sinh)
     target = wave_operator(gamma_set(spec.rep), q, spec.energy_sign * spec.mass,
                            spec.species is not Species.BRADYON)
     return transformed, relative_residual(target, transformed)

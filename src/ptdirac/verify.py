@@ -18,6 +18,7 @@ tolerances they pin.
 """
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, replace
 
@@ -67,6 +68,15 @@ def _check_trials(trials: int):
 def _rows(op: np.ndarray, w: np.ndarray) -> np.ndarray:
     """op[n] @ w[n] for every row n."""
     return np.einsum("nij,nj->ni", op, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma5_maps(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """X -> X g5 - g5 X and X -> g5 X g5 as (16, 16) matrices acting from the
+    right on flattened 4x4 matrices.  gamma^5 is a signed permutation in both
+    bases, so a flattened stack (n, 16) times either is exact, one 2-D matmul."""
+    g5, e = gamma_set(rep).gamma5, np.eye(16).reshape(16, 4, 4)
+    return (e @ g5 - g5 @ e).reshape(16, 16), (g5 @ e @ g5).reshape(16, 16)
 
 
 _SPECS, _INPUTS = 0, 1   # the streams of a group
@@ -119,8 +129,8 @@ def random_spec(seed: int, group: str, trials: int, *, massive_only: bool = Fals
     signs, lams = (np.array([c[j] for c in combos]) for j in (1, 2))
     groups = []
     for species, rep in dict.fromkeys((c[0], c[3]) for c in combos[:trials]):
-        members = [j for j, c in enumerate(combos) if (c[0], c[3]) == (species, rep)]
-        rows = np.flatnonzero(np.isin(combo_of, members))
+        member = np.array([(c[0], c[3]) == (species, rep) for c in combos])
+        rows = np.flatnonzero(member[combo_of])
         m = _scaled(u_m[rows], 0.2, m_hi)
         if species is Species.LUXON:
             m, k = np.zeros(len(rows)), _scaled(u_k[rows], 0.05, 10.0)
@@ -143,10 +153,11 @@ def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     u_mu, u_nu = _uniforms(seed, "clifford.anticommutation", _INPUTS, trials, 2)
     mu, nu = (4.0 * u_mu).astype(int), (4.0 * u_nu).astype(int)
     stacks = np.stack([gamma_set(rep).stack for rep in reps])
-    basis = np.arange(trials) % 2
-    a, b = stacks[basis, mu], stacks[basis, nu]
-    anti = [np.linalg.norm(a @ b + b @ a - 2.0 * METRIC[mu, nu][:, None, None] * np.eye(4),
-                           axis=(1, 2))]
+    # a @ b + b @ a of the 32 (basis, mu, nu), picked per trial
+    ab = stacks[:, :, None] @ stacks[:, None]
+    pairs = ab + np.swapaxes(ab, 1, 2)
+    anti = [np.linalg.norm(pairs[np.arange(trials) % 2, mu, nu]
+                           - 2.0 * METRIC[mu, nu][:, None, None] * np.eye(4), axis=(1, 2))]
 
     herm, g5p, a5sq = [], [], []
     for rep in reps:
@@ -349,8 +360,8 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         else:
             # the m alpha^5 mass term is anti-hermitian: H is gamma^5
             # pseudo-hermitian, g5 H g5 = H^dag, with real shell spectrum
-            g5 = gamma_set(g.rep).gamma5
-            herm.append(np.linalg.norm(g5 @ h @ g5 - h_dag, axis=(1, 2)))
+            g5_h_g5 = (h.reshape(-1, 16) @ _gamma5_maps(g.rep)[1]).reshape(h.shape)
+            herm.append(np.linalg.norm(g5_h_g5 - h_dag, axis=(1, 2)))
         eig.append(observables.energy_eigencheck(g, w))
     return [
         _result("observables.velocity_duality", dual, tol),
@@ -394,27 +405,20 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     a = _scaled(np.stack(u_gen, axis=1).reshape(-1, 4, 4), -1e-3, 1e-3)
     generators = a - np.swapaxes(a, 1, 2)
 
-    inter, bcov = [], []
-    groups = random_spec(seed, "symmetries", trials)
-    for g in groups:
+    inter, bcov, g5comm, structure = [], [], [], []
+    for g in random_spec(seed, "symmetries", trials):
         w = spinors.group_amplitudes(g)
         inter.append(symmetries.discrete_images(g, w)[1])
-        bcov.append(symmetries.apply_boost(g, axes[g.rows], zetas[g.rows], w)[1])
-
-    # the spinor maps themselves depend only on the basis
-    g5comm, structure = [], []
-    for rep in dict.fromkeys(g.rep for g in groups):
-        rows = np.concatenate([g.rows for g in groups if g.rep is rep])
-        n, z, z2 = axes[rows], zetas[rows], zetas2[rows]
-        g5 = gamma_set(rep).gamma5
-        s_fin = symmetries.lorentz_boost_spinor(n, z, rep)
-        g5comm.append(np.linalg.norm(s_fin @ g5 - g5 @ s_fin, axis=(1, 2)))
-        s_gen = symmetries.lorentz_generator(generators[rows], rep)
-        g5comm.append(np.linalg.norm(s_gen @ g5 - g5 @ s_gen, axis=(1, 2)))
-
-        comp = s_fin @ symmetries.lorentz_boost_spinor(n, z2, rep) \
-            - symmetries.lorentz_boost_spinor(n, z + z2, rep)
-        structure.append(np.linalg.norm(comp, axis=(1, 2)))
+        # one boost map per row and rapidity, S(zeta), S(zeta2) and
+        # S(zeta + zeta2), from one axis check, one alpha.n and one cosh/sinh
+        n, z, z2 = kinematics._unit_axis(axes[g.rows]), zetas[g.rows], zetas2[g.rows]
+        ch, sh = kinematics._cosh_sinh(np.array([z / 2.0, z2 / 2.0, (z + z2) / 2.0, z]))
+        s_fin, s2, s12 = symmetries._boost_spinors(n, ch[:3], sh[:3], g.rep)
+        bcov.append(symmetries._boosted(g, w, s_fin, n, z, (ch[3], sh[3]))[1])
+        for s in (s_fin, symmetries.lorentz_generator(generators[g.rows], g.rep)):
+            s_g5_minus_g5_s = (s.reshape(-1, 16) @ _gamma5_maps(g.rep)[0]).reshape(s.shape)
+            g5comm.append(np.linalg.norm(s_g5_minus_g5_s, axis=(1, 2)))
+        structure.append(np.linalg.norm(s_fin @ s2 - s12, axis=(1, 2)))
         structure.append(np.abs(np.linalg.det(s_fin) - 1.0))
     return [
         _result("symmetries.unitarity", unit, tol),
@@ -436,8 +440,7 @@ def symmetry_notes() -> tuple[str, ...]:
 
 def run_all(seed: int, trials: int, tol: float) -> VerificationReport:
     """Every invariant group of every module, one seeded pass."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     checks = (clifford_checks(seed, trials, tol)

@@ -76,6 +76,18 @@ def test_dual_momentum_zero_momentum_raises():
         dual_momentum((4, 0, 0, 0))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e200])
+def test_dual_momentum_at_extreme_scales(scale):
+    """|p| is a scaled norm: the square of 1e-300 underflows to 0 (which
+    raised ZeroMomentum) and that of 1e200 overflows; neither reaches |p|."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(dual_momentum(np.array([scale, scale, 0.0, 0.0])),
+                              [scale, scale, 0.0, 0.0])
+        d = dual_momentum(np.array([[2 * scale, 0.0, 0.6 * scale, 0.8 * scale]]))
+        assert np.allclose(d / scale, [[1.0, 0.0, 1.2, 1.6]], rtol=1e-15, atol=0.0)
+
+
 def test_dual_momentum_identities_random(rng):
     for _ in range(1000):
         m = rng.uniform(0.2, 3.0)

@@ -224,3 +224,13 @@ def test_expectation_report_bundle():
     assert isinstance(report.mean_four_velocity, FourVector)
     assert set(report.constraint_residuals) == {
         "p2_plus_m2", "p_dot_v", "p_dot_s_plus_m_lambda"}
+
+
+def test_four_vector_closed_forms_at_tiny_momentum():
+    """dual(p) takes |p| by a scaled norm, so |p| = 1e-300 no longer
+    underflows to zero and raises ZeroMomentum."""
+    spec = PlaneWaveSpec(Species.BRADYON, 1, (1e-300, 0.0, 0.0), 1e-300, 1, STD)
+    vbar, sbar = four_vector_closed_forms(spec)
+    r2 = np.sqrt(2.0)
+    assert np.allclose(vbar, [r2, 1.0, 0.0, 0.0], rtol=1e-15, atol=0.0)
+    assert np.allclose(sbar, [1.0, r2, 0.0, 0.0], rtol=1e-15, atol=0.0)
