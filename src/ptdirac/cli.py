@@ -270,8 +270,6 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
     if args.trials > MAX_TRIALS:
         raise ValueError(f"trials must be at most {MAX_TRIALS}, got {args.trials}")
     report = verify.run_all(args.seed, args.trials, args.tol)
@@ -284,15 +282,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NonPhysicalMomentum, MassNotZero, ZeroMomentum,
-            TranscendentDivision, MasslessSpecies) as exc:
+    except (NonPhysicalMomentum, MassNotZero, ZeroMomentum, TranscendentDivision,
+            MasslessSpecies, OverflowError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OverflowError, MemoryError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,65 +39,34 @@ class Representation(enum.Enum):
     WEYL = "weyl"
 
 
-def _blocks(a, b, c, d) -> np.ndarray:
-    m = np.block([[a, b], [c, d]]).astype(complex)
-    m.setflags(write=False)
-    return m
-
-
 def _frozen(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     m.setflags(write=False)
     return m
 
 
+def _blocks(a, b, c, d) -> np.ndarray:
+    return _frozen(np.block([[a, b], [c, d]]))
+
+
 @dataclass(frozen=True)
 class GammaSet:
     """The four gamma matrices of one representation plus derived members.
 
-    ``gammas[mu]`` carries an upper index; lowering is by the diagonal
-    metric.  ``sigma_spin`` holds the three components of the 4x4 spin
-    operator Sigma = alpha gamma^5, block-diagonal Pauli matrices in both
-    representations.
+    ``gammas`` stacks gamma^0..gamma^3, upper index, shape (4, 4, 4); lowering
+    is by the diagonal metric.  ``alpha`` stacks alpha^1..alpha^3 and
+    ``sigma_spin`` the three components of the 4x4 spin operator
+    Sigma = alpha gamma^5, block-diagonal Pauli matrices in both
+    representations, shape (3, 4, 4) each.  Indexing a stack gives one
+    matrix, and every stack is read-only.
     """
 
     rep: Representation
-    gammas: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    gammas: np.ndarray
     gamma5: np.ndarray
-    alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
+    alpha: np.ndarray
     alpha5: np.ndarray
-    sigma_spin: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def metric(self) -> np.ndarray:
-        return METRIC
-
-    def gamma(self, mu: int) -> np.ndarray:
-        """gamma^mu for mu in 0..3."""
-        if mu not in (0, 1, 2, 3):
-            raise IndexError(f"gamma index must be 0..3, got {mu}")
-        return self.gammas[mu]
-
-    def gamma_lower(self, mu: int) -> np.ndarray:
-        """gamma_mu = g_{mu mu} gamma^mu (diagonal metric)."""
-        return _frozen(METRIC[mu, mu] * self.gamma(mu))
-
-    # Stacked members for array-first contractions, built on first use.
-
-    @functools.cached_property
-    def stack(self) -> np.ndarray:
-        """gamma^0..gamma^3 along the first axis, shape (4, 4, 4)."""
-        return _frozen(np.stack(self.gammas))
-
-    @functools.cached_property
-    def alpha_stack(self) -> np.ndarray:
-        """alpha^1..alpha^3 along the first axis, shape (3, 4, 4)."""
-        return _frozen(np.stack(self.alpha))
-
-    @functools.cached_property
-    def spin_stack(self) -> np.ndarray:
-        """Sigma^1..Sigma^3 along the first axis, shape (3, 4, 4)."""
-        return _frozen(np.stack(self.sigma_spin))
+    sigma_spin: np.ndarray
 
     @functools.cached_property
     def bilinear_stack(self) -> np.ndarray:
@@ -106,9 +75,8 @@ class GammaSet:
         w^dag B w over these gives wbar gamma^mu w and wbar gamma^mu gamma^5 w;
         the first four are 1, alpha^1, alpha^2, alpha^3.
         """
-        g0 = self.gammas[0]
-        return _frozen(np.stack([g0 @ g for g in self.gammas]
-                                + [g0 @ g @ self.gamma5 for g in self.gammas]))
+        g0_g = self.gammas[0] @ self.gammas
+        return _frozen(np.concatenate([g0_g, g0_g @ self.gamma5]))
 
     @functools.cached_property
     def sigma_pairs(self) -> np.ndarray:
@@ -121,19 +89,17 @@ def gamma_set(rep: Representation) -> GammaSet:
     """Construct the gamma matrices of the requested representation."""
     if rep is Representation.STANDARD:
         g0 = _blocks(_ID2, _ZERO2, _ZERO2, -_ID2)
-        gk = tuple(_blocks(_ZERO2, s, -s, _ZERO2) for s in PAULI)
+        gk = [_blocks(_ZERO2, s, -s, _ZERO2) for s in PAULI]
         g5 = _blocks(_ZERO2, _ID2, _ID2, _ZERO2)
     elif rep is Representation.WEYL:
         g0 = _blocks(_ZERO2, _ID2, _ID2, _ZERO2)
-        gk = tuple(_blocks(_ZERO2, -s, s, _ZERO2) for s in PAULI)
+        gk = [_blocks(_ZERO2, -s, s, _ZERO2) for s in PAULI]
         g5 = _blocks(_ID2, _ZERO2, _ZERO2, -_ID2)
     else:
         raise ValueError(f"unknown representation {rep!r}")
-    alpha = tuple(_frozen(g0 @ g) for g in gk)
-    alpha5 = _frozen(g0 @ g5)
-    sigma_spin = tuple(_frozen(a @ g5) for a in alpha)
-    return GammaSet(rep=rep, gammas=(g0, *gk), gamma5=g5, alpha=alpha,
-                    alpha5=alpha5, sigma_spin=sigma_spin)
+    alpha = _frozen(g0 @ np.stack(gk))
+    return GammaSet(rep=rep, gammas=_frozen(np.stack([g0, *gk])), gamma5=g5, alpha=alpha,
+                    alpha5=_frozen(g0 @ g5), sigma_spin=_frozen(alpha @ g5))
 
 
 def _four_components(p) -> np.ndarray:
@@ -161,13 +127,14 @@ def slash(gs: GammaSet, p) -> np.ndarray:
     ``p`` is an array whose last axis holds (e, px, py, pz); the result has
     the leading axes of ``p`` followed by (4, 4).
     """
-    return contract(_four_components(p) * METRIC.diagonal(), gs.stack)
+    return contract(_four_components(p) * METRIC.diagonal(), gs.gammas)
 
 
 def sigma_tensor(gs: GammaSet, mu: int, nu: int) -> np.ndarray:
     """Antisymmetric spin tensor sigma_{mu nu} = (i/2)[gamma_mu, gamma_nu]."""
-    gm = gs.gamma_lower(mu)
-    gn = gs.gamma_lower(nu)
+    if not {mu, nu} <= {0, 1, 2, 3}:
+        raise IndexError(f"sigma indices must be 0..3, got ({mu}, {nu})")
+    gm, gn = (METRIC[i, i] * gs.gammas[i] for i in (mu, nu))
     return 0.5j * (gm @ gn - gn @ gm)
 
 
@@ -178,9 +145,7 @@ def representation_change() -> np.ndarray:
     is hermitian and involutive, so it is its own inverse, and it conjugates
     the Weyl gamma matrices into the standard ones.
     """
-    w = _blocks(_ID2, _ID2, _ID2, -_ID2) / np.sqrt(2.0)
-    w.setflags(write=False)
-    return w
+    return _frozen(_blocks(_ID2, _ID2, _ID2, -_ID2) / np.sqrt(2.0))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clifford import Representation, contract, gamma_set
 from .kinematics import FourVector, Species, dual_momentum, minkowski_dot
-from .spinors import PlaneWaveSpec, amplitude, four_momenta
+from .spinors import PlaneWaveSpec, amplitude
 
 
 class MasslessSpecies(ValueError):
@@ -53,22 +53,25 @@ def hamiltonian(species: Species, momentum, mass,
     an (n, 3) array with ``mass`` (n,), giving one hamiltonian per row.
     """
     gs = gamma_set(rep)
-    h = contract(np.asarray(momentum, dtype=float), gs.alpha_stack)
+    h = contract(np.asarray(momentum, dtype=float), gs.alpha)
     term = gs.gammas[0] if species is Species.BRADYON else gs.alpha5
     return h + np.asarray(mass, dtype=float)[..., None, None] * term
 
 
-def energy_eigencheck(spec, w=None):
+def energy_eigencheck(spec, w=None, h=None):
     """Relative residual of H w = E w for the physical wave of a spec.
 
     The inferior-sign wave e^{+ipx} carries physical momentum -p and energy
-    -eps, so v-amplitudes are checked against H(-p) v = -eps v.  For a group,
-    ``w`` holds one amplitude per spec and the result one residual per spec.
+    -eps, so v-amplitudes are checked against H(-p) v = -eps v.  ``h`` is
+    that H(sign p), built here when not given.  For a group, ``w`` and ``h``
+    hold one amplitude and one hamiltonian per spec and the result one
+    residual per spec.
     """
     if w is None:
         w = amplitude(spec)
     sign = np.asarray(spec.energy_sign)[..., None]
-    h = hamiltonian(spec.species, sign * np.asarray(spec.momentum), spec.mass, spec.rep)
+    if h is None:
+        h = hamiltonian(spec.species, sign * np.asarray(spec.momentum), spec.mass, spec.rep)
     hw = np.einsum("...ij,...j->...i", h, w)
     target = sign * np.asarray(spec.epsilon)[..., None]
     return np.linalg.norm(hw - target * w, axis=-1) / np.linalg.norm(w, axis=-1)
@@ -88,10 +91,13 @@ def _require_massive(spec):
         raise MasslessSpecies("mean four-velocity/polarization divide by the mass")
 
 
-def mean_velocity(spec: PlaneWaveSpec) -> np.ndarray:
-    """w^dag alpha w / (w^dag w), identical for both energy signs."""
-    b = bilinears(amplitude(spec), spec.rep)
-    return b[1:4] / b[0]
+def mean_velocity(spec, b=None) -> np.ndarray:
+    """w^dag alpha w / (w^dag w), identical for both energy signs, from the
+    `bilinears` b of a spec, or of each spec of a group (computed from the
+    spec's amplitude when not given)."""
+    if b is None:
+        b = bilinears(amplitude(spec), spec.rep)
+    return b[..., 1:4] / b[..., :1]
 
 
 def mean_four_vectors(spec, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +135,7 @@ def four_vector_closed_forms(spec) -> tuple[np.ndarray, np.ndarray]:
     sbar = h p/m for pseudotachyons, with dual(p) = (k; eps p / k).
     """
     _require_massive(spec)
-    p4 = four_momenta(spec)
+    p4 = spec.four_momentum
     dual = dual_momentum(p4)
     m = np.asarray(spec.mass)[..., None]
     h = np.asarray(spec.helicity_eigenvalue)[..., None]
@@ -147,7 +153,7 @@ _CONSTRAINT_NAMES = {
 def constraint_values(spec, vbar: np.ndarray, sbar: np.ndarray) -> np.ndarray:
     """The three constraint residuals (..., 3) of a spec or group, in the
     order of its names in `constraint_residuals`."""
-    p4 = four_momenta(spec)
+    p4 = spec.four_momentum
     m = np.asarray(spec.mass)
     p2, pv, ps = minkowski_dot(p4, np.array([p4, vbar, sbar]))
     out = np.empty(np.shape(p2) + (3,))
@@ -176,7 +182,7 @@ def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:
     names = _CONSTRAINT_NAMES[Species.BRADYON if spec.species is Species.BRADYON
                               else Species.PSEUDOTACHYON]
     return ExpectationReport(
-        mean_velocity=tuple((b[1:4] / b[0]).tolist()),
+        mean_velocity=tuple(mean_velocity(spec, b).tolist()),
         mean_four_velocity=FourVector.from_array(vbar),
         mean_spin_four_vector=FourVector.from_array(sbar),
         constraint_residuals=dict(zip(names, constraint_values(spec, vbar, sbar).tolist())),

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clifford import PAULI, GammaSet, Representation, gamma_set, representation_change, slash
+from .clifford import PAULI, Representation, gamma_set, representation_change, slash
 from .kinematics import Species, ZeroMomentum, energy_from_momentum
 
 
@@ -268,12 +268,6 @@ def _memoized(spec: PlaneWaveSpec, name: str, compute):
     return value
 
 
-def four_momenta(spec) -> np.ndarray:
-    """(eps; p) of a spec, shape (4,), or of each spec of a group, shape (n, 4);
-    the rows stored on the group, read-only."""
-    return spec.four_momentum
-
-
 def _block_factors(g: SpecGroup) -> np.ndarray:
     """Factors (upper, lower), shape (2, n), multiplying the helicity spinor
     in each block.
@@ -385,22 +379,23 @@ _EYE4 = np.eye(4)
 _EYE4.setflags(write=False)
 
 
-def wave_operator(gs: GammaSet, p4, signed_mass, tachyonic: bool) -> np.ndarray:
-    """slash(p) - sign m (gamma^5 for tachyonic species, 1 for bradyons).
+def wave_operator(spec, p4, signed_mass) -> np.ndarray:
+    """slash(p) - sign m (gamma^5 for tachyonic species, 1 for bradyons), in
+    the basis and the species family of a spec or group.
 
     ``p4`` is a four-vector or an array (..., 4) of them, and ``signed_mass``
     (sign * m) broadcasts against its leading axes.  The operator of a raw
     four-vector, so it also serves boosted momenta off the positive shell.
     """
-    unit = gs.gamma5 if tachyonic else _EYE4
+    gs = gamma_set(spec.rep)
+    unit = _EYE4 if spec.species is Species.BRADYON else gs.gamma5
     return slash(gs, p4) - np.asarray(signed_mass)[..., None, None] * unit
 
 
 def dirac_operator(spec) -> np.ndarray:
     """Momentum-space operator annihilating the amplitude of a spec or of
     each spec of a group."""
-    return wave_operator(gamma_set(spec.rep), four_momenta(spec),
-                         spec.energy_sign * spec.mass, spec.species is not Species.BRADYON)
+    return wave_operator(spec, spec.four_momentum, spec.energy_sign * spec.mass)
 
 
 def relative_residual(op: np.ndarray, w: np.ndarray):
@@ -435,17 +430,32 @@ def norm_convention(spec):
 
 def normalization_factor(spec, ctx: NormalizationContext = NormalizationContext()):
     """N with N^2 (w^dag w) = 1/V: 1/sqrt(2kV) tachyonic, 1/sqrt(2 eps V) bradyon,
-    of a spec, or of each spec of a group."""
-    return 1.0 / np.sqrt(norm_convention(spec) * ctx.volume)
+    of a spec, or of each spec of a group.
+
+    The product target * V is formed from the two mantissas and scaled
+    exactly by 4^-j, j half its binary exponent, and the result by 2^-j, so
+    it neither overflows nor underflows where N itself is a normal float; a
+    factor beyond that range raises ValueError.
+    """
+    (t, et), (v, ev) = np.frexp(norm_convention(spec)), np.frexp(ctx.volume)
+    j = (et + ev) // 2
+    with np.errstate(over="ignore", under="ignore"):
+        n = np.ldexp(1.0 / np.sqrt(np.ldexp(t * v, et + ev - 2 * j)), -j)
+    ok = (n >= sys.float_info.min) & (n <= sys.float_info.max)
+    if np.count_nonzero(ok) != ok.size:
+        raise ValueError(f"{spec.species.value} normalization factor out of floating-point "
+                         f"range: 1/sqrt(w^dag w V) = {float(np.extract(~ok, n)[0])!r}")
+    return n
 
 
 def convert_representation(b: np.ndarray, from_rep: Representation,
                            to_rep: Representation) -> np.ndarray:
-    """Map a bispinor between the Weyl and standard bases (involutive)."""
+    """Map a bispinor, or stacked bispinors along the last axis, between the
+    Weyl and standard bases (involutive)."""
     b = np.asarray(b, dtype=complex)
     if from_rep is to_rep:
         return b.copy()
-    return representation_change() @ b
+    return b @ representation_change().T
 
 
 def proportionality_defect(a: np.ndarray, b: np.ndarray) -> float:

@@ -29,8 +29,7 @@ import numpy as np
 
 from .clifford import METRIC, PAIRS, Representation, contract, dagger, gamma_set
 from .kinematics import Species, _boost_arrays, _cosh_sinh, _unit_axis
-from .spinors import (_EYE4, PlaneWaveSpec, _memoized, amplitude, four_momenta, relative_residual,
-                      wave_operator)
+from .spinors import _EYE4, PlaneWaveSpec, _memoized, amplitude, relative_residual, wave_operator
 
 
 class DiscreteKind(enum.Enum):
@@ -54,9 +53,6 @@ def sector_for(species: Species) -> Sector:
 
 @dataclass(frozen=True)
 class SymmetryMatrix:
-    kind: DiscreteKind
-    sector: Sector
-    rep: Representation
     matrix: np.ndarray
     conjugates_argument: bool
 
@@ -83,8 +79,7 @@ def discrete_operator(kind: DiscreteKind, sector: Sector,
         raise ValueError(f"unknown discrete kind {kind!r}")
     conj = kind in (DiscreteKind.CHARGE_CONJUGATION, DiscreteKind.TIME_INVERSION)
     matrix.setflags(write=False)
-    return SymmetryMatrix(kind=kind, sector=sector, rep=rep,
-                          matrix=matrix, conjugates_argument=conj)
+    return SymmetryMatrix(matrix=matrix, conjugates_argument=conj)
 
 
 _KINDS = tuple(DiscreteKind)
@@ -121,10 +116,9 @@ def _images(spec, w) -> tuple[np.ndarray, np.ndarray]:
     # the images as (..., a, b, 4), kind 2a + b, each pair against its target b
     images = (both @ _discrete_stack(sector_for(spec.species), spec.rep)).reshape(
         rows + (2, 2, 4))
-    p4 = four_momenta(spec)[..., None, :] * _MOMENTUM_SIGNS
+    p4 = spec.four_momentum[..., None, :] * _MOMENTUM_SIGNS
     signed_mass = (spec.energy_sign * np.asarray(spec.mass))[..., None] * _MASS_SIGNS
-    target = wave_operator(gamma_set(spec.rep), p4, signed_mass,
-                           spec.species is not Species.BRADYON)
+    target = wave_operator(spec, p4, signed_mass)
     residuals = relative_residual(target[..., None, :, :, :], images)
     return images.reshape(rows + (4, 4)), residuals.reshape(rows + (4,))
 
@@ -233,7 +227,7 @@ def first_order_covariance_residual(delta_omega,
 def _boost_spinors(n: np.ndarray, ch, sh, rep: Representation) -> np.ndarray:
     """cosh(zeta/2) I - sinh(zeta/2) alpha.n from unit axes and the cosh and
     sinh of the half rapidities."""
-    a_n = contract(n, gamma_set(rep).alpha_stack)
+    a_n = contract(n, gamma_set(rep).alpha)
     return np.asarray(ch)[..., None, None] * _EYE4 - np.asarray(sh)[..., None, None] * a_n
 
 
@@ -270,7 +264,6 @@ def _boosted(spec, w, s, n, zeta, cosh_sinh) -> tuple[np.ndarray, np.ndarray]:
     """`apply_boost` with the spinor maps ``s``, the unit axes ``n`` and the
     cosh and sinh of zeta (not zeta/2) already built."""
     transformed = np.einsum("...ij,...j->...i", s, w)
-    q = _boost_arrays(four_momenta(spec), n, zeta, cosh_sinh)
-    target = wave_operator(gamma_set(spec.rep), q, spec.energy_sign * spec.mass,
-                           spec.species is not Species.BRADYON)
+    q = _boost_arrays(spec.four_momentum, n, zeta, cosh_sinh)
+    target = wave_operator(spec, q, spec.energy_sign * spec.mass)
     return transformed, relative_residual(target, transformed)

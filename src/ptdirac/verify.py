@@ -152,7 +152,7 @@ def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     reps = (Representation.STANDARD, Representation.WEYL)
     u_mu, u_nu = _uniforms(seed, "clifford.anticommutation", _INPUTS, trials, 2)
     mu, nu = (4.0 * u_mu).astype(int), (4.0 * u_nu).astype(int)
-    stacks = np.stack([gamma_set(rep).stack for rep in reps])
+    stacks = np.stack([gamma_set(rep).gammas for rep in reps])
     # a @ b + b @ a of the 32 (basis, mu, nu), picked per trial
     ab = stacks[:, :, None] @ stacks[:, None]
     pairs = ab + np.swapaxes(ab, 1, 2)
@@ -267,7 +267,6 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     _check_trials(trials)
     (u_volume,) = _uniforms(seed, "spinors", _INPUTS, trials, 1)
     volumes = _scaled(u_volume, 0.1, 10.0)
-    w_conv = clifford.representation_change()
     pauli = np.stack(PAULI)
 
     solution, norm, normid, hel, chir, transc, adjoint, repmap = ([] for _ in range(8))
@@ -283,7 +282,7 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         n_fac = spinors.normalization_factor(g, ctx)
         normid.append(np.abs(n_fac ** 2 * n2 * ctx.volume - 1.0))
 
-        lam_op = clifford.contract(g.momentum, gs.spin_stack) / g.k[:, None, None]
+        lam_op = clifford.contract(g.momentum, gs.sigma_spin) / g.k[:, None, None]
         hel.append(np.linalg.norm(_rows(lam_op, w) - h * w, axis=1) / nw)
 
         standard = g.rep is Representation.STANDARD
@@ -309,12 +308,13 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             u = g.energy_sign == 1
             wbar = w[u].conj() @ gs.gammas[0]
             # slash(p) + m gamma^5
-            adj_op = spinors.wave_operator(gs, spinors.four_momenta(g)[u], -g.mass[u], True)
+            adj_op = spinors.wave_operator(g, g.four_momentum[u], -g.mass[u])
             adjoint.append(np.linalg.norm(np.einsum("ni,nij->nj", wbar, adj_op), axis=1)
                            / nw[u])
         if not standard:
             twin = spinors.group_amplitudes(replace(g, rep=Representation.STANDARD))
-            repmap.append(spinors.proportionality_defect(w @ w_conv.T, twin))
+            repmap.append(spinors.proportionality_defect(
+                spinors.convert_representation(w, g.rep, Representation.STANDARD), twin))
     return [
         _result("spinors.dirac_solution", solution, tol),
         _result("spinors.norm_convention", norm, tol),
@@ -335,7 +335,7 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     for g in random_spec(seed, "observables", trials, massive_only=True, modest_shells=True):
         w = spinors.group_amplitudes(g)
         b = observables.bilinears(w, g.rep)
-        v = b[:, 1:4] / b[:, :1]
+        v = observables.mean_velocity(g, b)
         if g.species is Species.PSEUDOTACHYON:
             # the duality ratio amplifies bilinear roundoff by k/eps, so stay off
             # the transcendent point (which k > m excludes anyway)
@@ -353,7 +353,9 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         sbar.append(np.abs(minkowski_dot(sb, sb) + 1.0))
         cons.append(np.abs(observables.constraint_values(g, vb, sb)))
 
-        h = observables.hamiltonian(g.species, g.momentum, g.mass, g.rep)
+        # H(sign p), the operator of the physical wave, for both checks
+        h = observables.hamiltonian(g.species, g.energy_sign[:, None] * g.momentum, g.mass,
+                                    g.rep)
         h_dag = np.conj(np.swapaxes(h, 1, 2))
         if g.species is Species.BRADYON:
             herm.append(np.linalg.norm(h - h_dag, axis=(1, 2)))
@@ -362,7 +364,7 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             # pseudo-hermitian, g5 H g5 = H^dag, with real shell spectrum
             g5_h_g5 = (h.reshape(-1, 16) @ _gamma5_maps(g.rep)[1]).reshape(h.shape)
             herm.append(np.linalg.norm(g5_h_g5 - h_dag, axis=(1, 2)))
-        eig.append(observables.energy_eigencheck(g, w))
+        eig.append(observables.energy_eigencheck(g, w, h))
     return [
         _result("observables.velocity_duality", dual, tol),
         _result("observables.velocity_closed_form", vclosed, tol),

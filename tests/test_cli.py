@@ -461,3 +461,24 @@ def test_spinor_out_of_range_is_usage_error():
     assert proc.stdout == b""
     assert b"Traceback" not in proc.stderr and b"Warning" not in proc.stderr
     assert b"out of floating-point range" in proc.stderr
+
+
+@pytest.mark.parametrize("species,momentum,mass,volume,line", [
+    ("luxon", "0,0,1e-300", "0", "1e-300", b"normalization 7.07106781e+299\n"),
+    ("bradyon", "0,0,1e200", "1e200", "1e200", b"normalization 5.94603558e-201\n"),
+], ids=["luxon-tiny", "bradyon-huge"])
+def test_spinor_normalization_at_extreme_volumes(species, momentum, mass, volume, line):
+    """target * V under- or overflows here, 1/sqrt(target * V) does not."""
+    proc = run_proc("spinor", "--species", species, "--momentum", momentum, "--mass", mass,
+                    "--volume", volume, env_extra={"PYTHONWARNINGS": "error"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert line in proc.stdout
+
+
+def test_spinor_normalization_out_of_range_is_usage_error():
+    proc = run_proc("spinor", "--species", "luxon", "--momentum", "0,0,1e-310", "--mass", "0",
+                    "--volume", "1e-310", env_extra={"PYTHONWARNINGS": "error"})
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == (b"error: luxon normalization factor out of floating-point range: "
+                           b"1/sqrt(w^dag w V) = inf\n")

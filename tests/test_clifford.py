@@ -114,7 +114,7 @@ def test_slash_linear_in_momentum(std, rng):
     assert np.linalg.norm(lhs - rhs) <= 1e-13
 
 
-STACKS = ("stack", "alpha_stack", "spin_stack", "bilinear_stack", "sigma_pairs")
+STACKS = ("gammas", "alpha", "sigma_spin", "bilinear_stack", "sigma_pairs")
 
 
 @pytest.mark.parametrize("name", STACKS)
@@ -135,7 +135,7 @@ def test_sigma_tensor_diagonal_vanishes(std, mu):
 
 
 def test_sigma_tensor_definition_off_diagonal(std):
-    expected = 1j * std.gamma_lower(0) @ std.gamma_lower(1)
+    expected = 1j * (METRIC[0, 0] * std.gammas[0]) @ (METRIC[1, 1] * std.gammas[1])
     assert np.linalg.norm(sigma_tensor(std, 0, 1) - expected) == 0.0
 
 

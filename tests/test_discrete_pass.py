@@ -41,8 +41,7 @@ def reference_boost(spec, axis, rapidity, w):
     """`apply_boost` with the axis checked and cosh/sinh taken per use."""
     s = symmetries.lorentz_boost_spinor(axis, rapidity, spec.rep)
     transformed = np.einsum("...ij,...j->...i", s, w)
-    q = kinematics._boost_arrays(spinors.four_momenta(spec), kinematics._unit_axis(axis),
-                                 rapidity)
+    q = kinematics._boost_arrays(spec.four_momentum, kinematics._unit_axis(axis), rapidity)
     return transformed, _residual(spec, q, spec.energy_sign * np.asarray(spec.mass),
                                   transformed)
 

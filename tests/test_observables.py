@@ -15,7 +15,7 @@ from ptdirac.observables import (
     mean_velocity,
     mean_velocity_closed_form,
 )
-from ptdirac.spinors import PlaneWaveSpec, four_momenta
+from ptdirac.spinors import PlaneWaveSpec
 
 STD = Representation.STANDARD
 WEYL = Representation.WEYL
@@ -215,7 +215,7 @@ def test_pt_momentum_velocity_orthogonality(rng):
         spec = random_massive_spec(rng, 2 * i)  # even i -> pseudotachyon
         assert spec.species is Species.PSEUDOTACHYON
         vbar = mean_four_velocity(spec).as_array()
-        assert abs(minkowski_dot(four_momenta(spec), vbar)) <= 1e-11
+        assert abs(minkowski_dot(spec.four_momentum, vbar)) <= 1e-11
 
 
 def test_expectation_report_bundle():

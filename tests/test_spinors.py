@@ -18,7 +18,6 @@ from ptdirac.spinors import (
     amplitude_from_spinor,
     convert_representation,
     dirac_operator,
-    four_momenta,
     group_amplitudes,
     helicity_spinor,
     normalization_factor,
@@ -230,7 +229,7 @@ def test_adjoint_row_equation(std):
     w = amplitude(spec)
     from ptdirac.clifford import slash
     wbar = w.conj() @ std.gammas[0]
-    adj = slash(std, four_momenta(spec)) + spec.mass * std.gamma5
+    adj = slash(std, spec.four_momentum) + spec.mass * std.gamma5
     assert np.linalg.norm(wbar @ adj) / np.linalg.norm(w) <= 1e-11
 
 
@@ -345,6 +344,15 @@ def test_convert_representation_spot():
     vec = np.array([1.0, 0, 1.0, 0])  # equal chiral halves
     out = convert_representation(vec, WEYL, STD)
     assert np.linalg.norm(out - [math.sqrt(2), 0, 0, 0]) <= 1e-14
+
+
+def test_convert_representation_maps_each_row_of_a_stack_alone(rng):
+    rows = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) \
+        * 10.0 ** rng.uniform(-200, 200, size=(4, 1))
+    for src, dst in ((WEYL, STD), (STD, WEYL)):
+        got = convert_representation(rows, src, dst)
+        for b, row in zip(got, rows):
+            assert b.tobytes() == convert_representation(row, src, dst).tobytes()
 
 
 def test_convert_representation_involutive(rng):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptdirac import kinematics, spinors, verify
+from ptdirac import kinematics, observables, spinors, verify
 from ptdirac.kinematics import Species
 
 SEED, TRIALS, TOL = 5, 48, 1e-12
@@ -19,6 +19,20 @@ def by_name(checks):
 
 def test_clean_run_passes():
     assert verify.run_all(SEED, TRIALS, TOL).passed
+
+
+def test_run_all_builds_one_hamiltonian_per_group(monkeypatch):
+    """The hermiticity and eigenvalue checks share H(sign p): one build for
+    each of the four massive species-and-basis groups."""
+    real, calls = observables.hamiltonian, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "hamiltonian", counted)
+    assert verify.run_all(SEED, TRIALS, TOL).passed
+    assert len(calls) == 4
 
 
 def test_nan_residual_of_one_batched_trial_fails(monkeypatch):
