@@ -26,6 +26,10 @@ from .clifford import Representation, contract, gamma_set
 from .kinematics import FourVector, Species, dual_momentum, minkowski_dot
 from .spinors import PlaneWaveSpec, amplitude
 
+# w^dag w below which the subnormal rounding of one product of entries, up to
+# 2^-1075, exceeds 2^-106 of it
+_B_MIN = 2.0 ** -969
+
 
 class MasslessSpecies(ValueError):
     """Mean four-velocity and four-polarization divide by the mass."""
@@ -77,13 +81,24 @@ def energy_eigencheck(spec, w=None, h=None):
     return np.linalg.norm(hw - target * w, axis=-1) / np.linalg.norm(w, axis=-1)
 
 
-def bilinears(w: np.ndarray, rep: Representation) -> np.ndarray:
-    """Re(w^dag B w) over `GammaSet.bilinear_stack`, shape (..., 8).
+def bilinears(w: np.ndarray, rep: Representation):
+    """(b, j): b = Re(w^dag B w) over `GammaSet.bilinear_stack`, shape
+    (..., 8), of w scaled exactly by 2^-j, so the bilinears of w are 4^j b.
 
     Entries 0-3 are wbar gamma^mu w (entry 0 is w^dag w, entries 1-3 the
     velocity numerators w^dag alpha w); entries 4-7 are wbar gamma^mu gamma^5 w.
+    j is 0 unless some row has w^dag w below _B_MIN, where the products lose
+    precision as subnormal numbers; then j is an integer array holding, for
+    each such row, the binary exponent of its largest |entry| (0 elsewhere).
     """
-    return np.einsum("...i,bij,...j->...b", w.conj(), gamma_set(rep).bilinear_stack, w).real
+    stack = gamma_set(rep).bilinear_stack
+    b = np.einsum("...i,bij,...j->...b", w.conj(), stack, w).real
+    small = b[..., 0] < _B_MIN
+    if not np.count_nonzero(small):
+        return b, 0
+    j = np.frexp(np.abs(w).max(axis=-1))[1] * small
+    w = w / np.ldexp(1.0, j)[..., None]
+    return np.einsum("...i,bij,...j->...b", w.conj(), stack, w).real, j
 
 
 def _require_massive(spec):
@@ -96,15 +111,15 @@ def mean_velocity(spec, b=None) -> np.ndarray:
     `bilinears` b of a spec, or of each spec of a group (computed from the
     spec's amplitude when not given)."""
     if b is None:
-        b = bilinears(amplitude(spec), spec.rep)
+        b, _ = bilinears(amplitude(spec), spec.rep)
     return b[..., 1:4] / b[..., :1]
 
 
-def mean_four_vectors(spec, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mean_four_vectors(spec, b: np.ndarray, j) -> tuple[np.ndarray, np.ndarray]:
     """(vbar, sbar) = (wbar gamma^mu w, wbar gamma^mu gamma^5 w) / 2m from the
-    `bilinears` b of a spec, or of each spec of a group."""
+    `bilinears` (b, j) of a spec, or of each spec of a group."""
     _require_massive(spec)
-    two_m = 2.0 * np.asarray(spec.mass)[..., None]
+    two_m = np.ldexp(np.asarray(spec.mass), 1 - 2 * j)[..., None]
     return b[..., 0:4] / two_m, b[..., 4:8] / two_m
 
 
@@ -177,8 +192,8 @@ def constraint_residuals(spec: PlaneWaveSpec) -> dict[str, float]:
 def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:
     """Every expectation value of a massive spec, from one amplitude and one
     contraction."""
-    b = bilinears(amplitude(spec), spec.rep)
-    vbar, sbar = mean_four_vectors(spec, b)
+    b, j = bilinears(amplitude(spec), spec.rep)
+    vbar, sbar = mean_four_vectors(spec, b, j)
     names = _CONSTRAINT_NAMES[Species.BRADYON if spec.species is Species.BRADYON
                               else Species.PSEUDOTACHYON]
     return ExpectationReport(

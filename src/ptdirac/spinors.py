@@ -95,6 +95,8 @@ class NormalizationContext:
 _ZERO_MOMENTUM = "plane-wave spec needs |p| > 0 (helicity direction)"
 # 2 x overflows exactly when x exceeds half the largest float
 _HALF_MAX = sys.float_info.max / 2.0
+# k and m below this are worked at a larger scale (`group_amplitudes`)
+_TINY = 2.0 ** -960
 
 _ONE_ROW = {label: np.array([label]) for label in (1, -1)}
 for _row in _ONE_ROW.values():
@@ -302,7 +304,20 @@ def _block_factors(g: SpecGroup) -> np.ndarray:
 
 
 def group_amplitudes(g: SpecGroup) -> np.ndarray:
-    """The amplitudes (n, 4) of the specs of one group."""
+    """The amplitudes (n, 4) of the specs of one group.
+
+    The amplitude scales as the square root of (p, m), so a row whose k and
+    m are both below _TINY is computed with p and m scaled exactly by 4^t,
+    which brings them near 1, and divided by 2^t: there its k and eps keep
+    the precision they lose as subnormal numbers.  Other rows are unchanged.
+    """
+    tiny = np.maximum(g.k, g.mass) < _TINY
+    if np.count_nonzero(tiny):
+        t = -(np.frexp(np.maximum(g.k, g.mass))[1] // 2) * tiny
+        scaled = SpecGroup.from_arrays(g.species, g.rep, g.energy_sign, g.helicity,
+                                       np.ldexp(g.momentum, 2 * t[:, None]),
+                                       np.ldexp(g.mass, 2 * t), g.rows)
+        return group_amplitudes(scaled) * np.ldexp(1.0, -t)[:, None]
     theta = _helicity_spinors(g.momentum / g.k[:, None], g.helicity_eigenvalue)
     return (_block_factors(g).T[:, :, None] * theta[:, None, :]).reshape(-1, 4)
 

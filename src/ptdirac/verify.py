@@ -334,7 +334,7 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     dual, vclosed, vbar, sbar, cons, herm, eig = ([] for _ in range(7))
     for g in random_spec(seed, "observables", trials, massive_only=True, modest_shells=True):
         w = spinors.group_amplitudes(g)
-        b = observables.bilinears(w, g.rep)
+        b, scale = observables.bilinears(w, g.rep)
         v = observables.mean_velocity(g, b)
         if g.species is Species.PSEUDOTACHYON:
             # the duality ratio amplifies bilinear roundoff by k/eps, so stay off
@@ -345,7 +345,7 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             dual.append(np.maximum(0.0, speed - 1.0))
         vclosed.append(np.abs(v - observables.mean_velocity_closed_form(g)))
 
-        vb, sb = observables.mean_four_vectors(g, b)
+        vb, sb = observables.mean_four_vectors(g, b, scale)
         vb_closed, sb_closed = observables.four_vector_closed_forms(g)
         vbar.append(np.abs(vb - vb_closed))
         sbar.append(np.abs(sb - sb_closed))

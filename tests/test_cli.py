@@ -139,7 +139,11 @@ def test_dispersion_bytes_match_the_row_reference(m, x, steps, precision):
     (0.0, 0.0, 5e-324, 4, 9),                        # repeated zero rows
     (3.0, 3.0, 10.0, 50, 17),                        # eps_min = m exactly
     (7.0, 0.0, 21.0, 2 * cli.CHUNK_ROWS + 17, 12),   # longer than one chunk
-], ids=["minus-zero", "zero-rows", "eps-min-at-m", "chunks"])
+    (1e-7, 0.0, 1e-3, 301, 9),                       # fixed/scientific switch at 1e-4
+    (1e290, 0.0, 3e290, 40, 12),                     # exponents beyond the scaled range
+    (1e17, 0.0, 3e17, 61, 17),                       # p = 17 with eps crossing 10^17
+], ids=["minus-zero", "zero-rows", "eps-min-at-m", "chunks", "sci-switch", "scale-1e290",
+        "p17-crossing-1e17"])
 def test_dispersion_edge_bytes_to_stdout_and_file(tmp_path, m, eps_min, eps_max, steps,
                                                   precision):
     argv = ["dispersion", "--mass", repr(m), "--eps-min", repr(eps_min), "--eps-max",
@@ -244,6 +248,17 @@ def test_expect_transcendent(capsys):
                             "--momentum", "0,0,3", "--mass", "3")
     assert code == 0
     assert out.splitlines()[0] == "mean_velocity 0 0 0"
+
+
+def test_expect_at_subnormal_scale(capsys):
+    # k = m: v = 1/sqrt(2) and vbar = (sqrt(2), 0, 0, 1), however small k and m
+    code, out, _ = run_main(capsys, "expect", "--species", "bradyon",
+                            "--momentum", "0,0,1e-320", "--mass", "1e-320")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "mean_velocity 0 0 0.707106781"
+    assert lines[1] == "mean_four_velocity 1.41421356 0 0 1"
+    assert lines[2] == "mean_spin_four_vector 1 0 0 1.41421356"
 
 
 def test_expect_luxon_rejected(capsys):
@@ -372,6 +387,25 @@ def test_verify_env_tolerance_override():
     proc = run_proc("verify", "--trials", "40",
                     env_extra={"PT_DIRAC_TOL": "1e-30"})
     assert proc.returncode == 1
+
+
+def test_parser_is_built_once_per_default_tolerance():
+    assert cli.build_parser(1e-12) is cli.build_parser(1e-12)
+    assert cli.build_parser(1e-12) is not cli.build_parser(1e-30)
+
+
+def test_env_tolerance_is_read_on_each_call(capsys, monkeypatch):
+    argv = ["transform", "--op", "P", "--species", "pt", "--momentum", "0,0,5", "--mass", "3"]
+    monkeypatch.setenv("PT_DIRAC_TOL", "1e-30")
+    assert run_main(capsys, *argv)[0] == 1
+    monkeypatch.delenv("PT_DIRAC_TOL")
+    assert run_main(capsys, *argv)[0] == 0
+
+
+def test_main_calls_the_current_command_function(capsys, monkeypatch):
+    run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11")
+    monkeypatch.setattr(cli, "cmd_dispersion", lambda args: 7)
+    assert run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11")[0] == 7
 
 
 def test_invalid_env_tolerance_is_usage_error():

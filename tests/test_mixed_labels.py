@@ -88,8 +88,8 @@ def test_four_vector_and_constraint_rows_equal_single_specs(g):
     vb, sb = observables.four_vector_closed_forms(g)
     assert_rows_equal(vb, lambda j: observables.four_vector_closed_forms(specs[j])[0], n)
     assert_rows_equal(sb, lambda j: observables.four_vector_closed_forms(specs[j])[1], n)
-    b = observables.bilinears(spinors.group_amplitudes(g), g.rep)
-    vbar, sbar = observables.mean_four_vectors(g, b)
+    b, scale = observables.bilinears(spinors.group_amplitudes(g), g.rep)
+    vbar, sbar = observables.mean_four_vectors(g, b, scale)
     assert_rows_equal(observables.constraint_values(g, vbar, sbar),
                       lambda j: observables.constraint_values(specs[j], vbar[j], sbar[j]), n)
 

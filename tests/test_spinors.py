@@ -395,6 +395,23 @@ def test_proportionality_defect_does_not_overflow(species):
             assert proportionality_defect(w, 3 * w) == 0.0
 
 
+@pytest.mark.parametrize("species", [Species.PSEUDOTACHYON, Species.BRADYON])
+def test_subnormal_row_is_computed_at_a_normal_scale(species):
+    """p and m of (3, 4) and 2 times 2^-1070 give 2^-535 times the amplitude at
+    scale 1, where eps computed at the subnormal scale would be off by 1e-4;
+    a normal row of the same group keeps its bits."""
+    tiny = 2.0 ** -1070
+    normal_p, normal_m = (0.0, 3.0, 4.0), 2.0
+    g = SpecGroup.from_arrays(species, STD, [1, -1], 1, [tuple(c * tiny for c in normal_p),
+                                                        normal_p], [normal_m * tiny, normal_m],
+                              [0, 1])
+    w = group_amplitudes(g)
+    alone = group_amplitudes(SpecGroup.from_arrays(species, STD, [1, -1], 1,
+                                                   [normal_p, normal_p], [normal_m] * 2, [0, 1]))
+    assert w[1].tobytes() == alone[1].tobytes()
+    assert np.array_equal(w[0], alone[0] * 2.0 ** -535)
+
+
 def test_proportionality_defect_orthogonal_vectors():
     a = np.array([1.0, 0, 0, 0])
     b = np.array([0, 1.0, 0, 0])
@@ -550,9 +567,9 @@ def test_batch_bilinears_match_expectation_report():
     from ptdirac.observables import bilinears, expectation_report, mean_four_vectors
     specs = [s for s in kernel_specs() if s.mass > 0]
     for g in groups_of(specs):
-        b = bilinears(group_amplitudes(g), g.rep)
+        b, scale = bilinears(group_amplitudes(g), g.rep)
         v = b[:, 1:4] / b[:, :1]
-        vbar, sbar = mean_four_vectors(g, b)
+        vbar, sbar = mean_four_vectors(g, b, scale)
         for j, i in enumerate(g.rows):
             report = expectation_report(fresh(specs[i]))
             for got, want in [(v[j], report.mean_velocity),
