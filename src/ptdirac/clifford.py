@@ -46,7 +46,7 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 
 def _blocks(a, b, c, d) -> np.ndarray:
-    return _frozen(np.block([[a, b], [c, d]]))
+    return _frozen(np.concatenate([np.concatenate([a, b], 1), np.concatenate([c, d], 1)]))
 
 
 @dataclass(frozen=True)

@@ -377,10 +377,24 @@ def test_verify_trials_cap_checked_before_any_draw(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("verify ran")
 
-    monkeypatch.setattr(cli.verify, "run_all", unreachable)
+    monkeypatch.setattr("ptdirac.verify.run_all", unreachable)
     code, out, err = run_main(capsys, "verify", "--trials", "100000000000")
     assert (code, out) == (2, "")
     assert err == f"error: trials must be at most {cli.MAX_TRIALS}, got 100000000000\n"
+
+
+def test_verify_negative_seed_is_usage_error(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("verify ran")
+
+    monkeypatch.setattr("ptdirac.verify.run_all", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        run_main(capsys, "verify", "--seed", "-1")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "ptdirac verify: error: argument --seed: expected a non-negative integer, got -1\n")
 
 
 def test_verify_env_tolerance_override():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptdirac import cli
+from ptdirac import cli, gformat
 
 
 def formatted(x: float, p: int) -> tuple[str, int]:
-    """`_format_block` of the single value x, and how many values it passed to `%`."""
-    with mock.patch.object(cli, "_fmt", wraps=cli._fmt) as fallback:
-        text = cli._format_block(np.array([[x]]), p, ("\n",))
+    """`format_block` of the single value x, and how many values it passed to `%`."""
+    with mock.patch.object(gformat, "_fmt", wraps=cli._fmt) as fallback:
+        text = gformat.format_block(np.array([[x]]), p, ("\n",))
     assert text.endswith("\n")
     return text[:-1], fallback.call_count
 
@@ -39,7 +39,7 @@ def test_format_edge_values(p):
     """Zero, the extremes, ties and dyadic grids, and each 10^k with both of its
     neighbours: the rounding carry and the switches at 1e-4 / 1e-5 and 10^p."""
     for x in edge_values():
-        assert cli._format_block(np.array([[x]]), p, ("\n",)) == f"{x:.{p}g}\n", x
+        assert gformat.format_block(np.array([[x]]), p, ("\n",)) == f"{x:.{p}g}\n", x
 
 
 @pytest.mark.parametrize("x, p", [
@@ -66,4 +66,4 @@ def test_block_of_mixed_layouts_matches_row_by_row():
     for p in (3, 9, 17):
         expected = "".join(f"{a:.{p}g},{b:.{p}g},,{c:.{p}g},{d:.{p}g}\n"
                            for a, b, c, d in block.tolist())
-        assert cli._format_block(block, p, (",", ",,", ",", "\n")) == expected
+        assert gformat.format_block(block, p, (",", ",,", ",", "\n")) == expected
