@@ -16,7 +16,7 @@ import importlib
 
 _EXPORTS = {
     "clifford": ("METRIC", "GammaSet", "Representation", "gamma_set",
-                 "representation_change", "sigma_tensor", "slash"),
+                 "representation_change", "slash"),
     "kinematics": ("DispersionTable", "FourVector", "MassNotZero", "NonPhysicalMomentum",
                    "Species", "SpeedTriple", "ZeroMomentum", "boost", "dispersion_table",
                    "dual_momentum", "energy_from_momentum", "minkowski_dot", "speeds"),
@@ -24,9 +24,9 @@ _EXPORTS = {
                     "energy_eigencheck", "expectation_report", "hamiltonian",
                     "mean_four_velocity", "mean_spin_four_vector", "mean_velocity"),
     "spinors": ("NormalizationContext", "PlaneWaveSpec", "TranscendentDivision", "amplitude",
-                "amplitude_from_spinor", "convert_representation", "dirac_operator",
-                "helicity_spinor", "normalization_factor", "proportionality_defect",
-                "solution_residual", "wave_operator"),
+                "convert_representation", "dirac_operator", "helicity_spinor",
+                "normalization_factor", "proportionality_defect", "solution_residual",
+                "wave_operator"),
     "symmetries": ("DiscreteKind", "Sector", "SymmetryMatrix", "apply_boost", "apply_discrete",
                    "discrete_operator", "first_order_covariance_residual",
                    "lorentz_boost_spinor", "lorentz_generator", "pct_phase", "pct_product"),

@@ -12,8 +12,8 @@ row-by-row f"{x:.{precision}g}": the digits come from a double-double pass
 that proves its rounding, with `%` as the per-value fallback where it cannot.
 Each command imports only the modules it runs: `verify`, `symmetries` and
 `gformat` are loaded by the commands that use them.
-The environment variable PT_DIRAC_TOL overrides the default tolerance of
-1e-12.  All randomized commands print the effective seed, so failures are
+`transform` and `verify` judge residuals against --tol, 1e-12 by default.
+All randomized commands print the effective seed, so failures are
 replayable.
 """
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -39,7 +38,6 @@ from .observables import MasslessSpecies, expectation_report
 from .spinors import (
     NormalizationContext,
     PlaneWaveSpec,
-    TranscendentDivision,
     amplitude,
     normalization_factor,
     solution_residual,
@@ -120,21 +118,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("PT_DIRAC_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = -1.0
-    if tol <= 0:
-        print(f"error: PT_DIRAC_TOL must be a positive number, got {raw!r}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return tol
-
-
 def _add_spec_arguments(sub: argparse.ArgumentParser):
     sub.add_argument("--species", required=True, choices=sorted(_SPECIES))
     sub.add_argument("--sign", default="+", choices=sorted(_SIGNS))
@@ -157,8 +140,8 @@ def _spec_from_args(args) -> PlaneWaveSpec:
 
 
 @functools.cache
-def build_parser(default_tol: float = DEFAULT_TOL) -> argparse.ArgumentParser:
-    """The argument parser, built once per default tolerance."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once."""
     parser = argparse.ArgumentParser(
         prog="ptdirac",
         description="Plane-wave mechanics of spin-1/2 particles with negative "
@@ -190,13 +173,13 @@ def build_parser(default_tol: float = DEFAULT_TOL) -> argparse.ArgumentParser:
     tr.add_argument("--axis", type=_three_floats, default=(0.0, 0.0, 1.0),
                     metavar="NX,NY,NZ")
     tr.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
-    tr.add_argument("--tol", type=_positive_float, default=default_tol)
+    tr.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
 
     ver = subs.add_parser("verify", help="run every invariant suite")
     ver.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                      help=f"number of trials, 1 to {MAX_TRIALS}")
-    ver.add_argument("--tol", type=_positive_float, default=default_tol)
+    ver.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     return parser
 
 
@@ -298,14 +281,14 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser(_default_tol()).parse_args(argv)
+    args = build_parser().parse_args(argv)
     # looked up on each call, so that a replaced command function is called
     command = {"dispersion": cmd_dispersion, "spinor": cmd_spinor, "expect": cmd_expect,
                "transform": cmd_transform, "verify": cmd_verify}[args.command]
     try:
         return command(args)
-    except (NonPhysicalMomentum, MassNotZero, ZeroMomentum, TranscendentDivision,
-            MasslessSpecies, OverflowError, MemoryError) as exc:
+    except (NonPhysicalMomentum, MassNotZero, ZeroMomentum, MasslessSpecies, OverflowError,
+            MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

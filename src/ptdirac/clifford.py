@@ -80,8 +80,11 @@ class GammaSet:
 
     @functools.cached_property
     def sigma_pairs(self) -> np.ndarray:
-        """The six sigma_{mu nu} with mu < nu, in the order of PAIRS, shape (6, 4, 4)."""
-        return _frozen(np.stack([sigma_tensor(self, mu, nu) for mu, nu in PAIRS]))
+        """The six sigma_{mu nu} = (i/2)[gamma_mu, gamma_nu] with mu < nu, in the
+        order of PAIRS, shape (6, 4, 4)."""
+        lowered = METRIC.diagonal()[:, None, None] * self.gammas
+        gm, gn = lowered[np.array(PAIRS).T]
+        return _frozen(0.5j * (gm @ gn - gn @ gm))
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,10 +118,8 @@ def contract(coeffs, stack: np.ndarray) -> np.ndarray:
     (k, 16).  The result has the leading axes of ``coeffs`` followed by (4, 4).
     """
     c = np.asarray(coeffs)
-    flat = stack.reshape(len(stack), 16)
-    if c.ndim > 2:  # one matmul over every row, not one per leading index
-        return (c.reshape(-1, c.shape[-1]) @ flat).reshape(c.shape[:-1] + (4, 4))
-    return (c @ flat).reshape(c.shape[:-1] + (4, 4))
+    flat = c.reshape(-1, c.shape[-1]) @ stack.reshape(len(stack), 16)
+    return flat.reshape(c.shape[:-1] + (4, 4))
 
 
 def slash(gs: GammaSet, p) -> np.ndarray:
@@ -128,14 +129,6 @@ def slash(gs: GammaSet, p) -> np.ndarray:
     the leading axes of ``p`` followed by (4, 4).
     """
     return contract(_four_components(p) * METRIC.diagonal(), gs.gammas)
-
-
-def sigma_tensor(gs: GammaSet, mu: int, nu: int) -> np.ndarray:
-    """Antisymmetric spin tensor sigma_{mu nu} = (i/2)[gamma_mu, gamma_nu]."""
-    if not {mu, nu} <= {0, 1, 2, 3}:
-        raise IndexError(f"sigma indices must be 0..3, got ({mu}, {nu})")
-    gm, gn = (METRIC[i, i] * gs.gammas[i] for i in (mu, nu))
-    return 0.5j * (gm @ gn - gn @ gm)
 
 
 def representation_change() -> np.ndarray:

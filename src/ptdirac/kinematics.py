@@ -193,22 +193,21 @@ def _unit_axis(axis) -> np.ndarray:
     return n / norm[..., None]
 
 
-def _rapidity_out_of_range(rapidity) -> ValueError:
-    return ValueError(f"boost out of floating-point range: cosh({float(rapidity)!r}) "
-                      "overflows")
-
-
 def _cosh_sinh(rapidity):
     """``np.cosh`` and ``np.sinh`` of one rapidity, or of an array of them.
 
-    Past |zeta| ~ 710 they leave the floating-point range, which raises a
-    ValueError naming the first such rapidity.
+    A NaN rapidity raises a ValueError that names it.  Past |zeta| ~ 710
+    they leave the floating-point range, which raises a ValueError naming
+    the first such rapidity.
     """
     with np.errstate(over="ignore"):
         ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-    overflow = np.isinf(ch)
-    if np.count_nonzero(overflow):
-        raise _rapidity_out_of_range(np.asarray(rapidity)[overflow].flat[0])
+    finite = np.isfinite(ch)
+    if np.count_nonzero(finite) != finite.size:
+        first = float(np.asarray(rapidity)[~finite].flat[0])
+        if math.isnan(first):
+            raise ValueError("boost rapidity must be a number, got nan")
+        raise ValueError(f"boost out of floating-point range: cosh({first!r}) overflows")
     return ch, sh
 
 

@@ -28,12 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from .clifford import PAULI, Representation, gamma_set, representation_change, slash
+from .clifford import Representation, gamma_set, representation_change, slash
 from .kinematics import Species, ZeroMomentum, energy_from_momentum
 
 
 class TranscendentDivision(ZeroDivisionError, ValueError):
-    """The general-spinor parameterization divides by eps, singular at eps = 0."""
+    """A division by eps at the transcendent point eps = 0.  No function of
+    this package raises it: the closed forms have no such division."""
 
 
 def _helicity_spinors(n: np.ndarray, lam) -> np.ndarray:
@@ -74,6 +75,8 @@ def helicity_spinor(direction, lam: int) -> np.ndarray:
     if n.shape != (3,):
         raise ValueError("direction must be a 3-vector")
     norm = math.hypot(*n)
+    if not norm < math.inf:  # a NaN or inf component, or a norm that overflows
+        raise ValueError(f"direction must have a finite norm, got {tuple(n.tolist())}")
     if norm == 0.0:
         raise ZeroMomentum("helicity spinor undefined for zero direction")
     return _helicity_spinors((n / norm)[None], lam)[0]
@@ -329,65 +332,6 @@ def amplitude(spec: PlaneWaveSpec) -> np.ndarray:
     use and kept on the spec; the array is read-only.
     """
     return _memoized(spec, "_amplitude", lambda: group_amplitudes(spec._group)[0])
-
-
-def amplitude_from_spinor(species: Species, energy_sign: int, momentum, mass: float,
-                          chi_or_phi: np.ndarray, rep: Representation) -> np.ndarray:
-    """Bispinor from an arbitrary two-spinor via the general solution forms.
-
-    Standard basis: u = (phi; (p.sigma - m)/eps phi) for pseudotachyons,
-    u = (phi; p.sigma/(eps + m) phi) for bradyons, and the mirrored forms for
-    v built from chi.  These divide by eps (pseudotachyons) so the
-    transcendent point must go through ``amplitude`` instead.  The chiral
-    forms divide by m, so massless amplitudes exist only via ``amplitude``.
-    """
-    if energy_sign not in (1, -1):
-        raise ValueError(f"energy_sign must be +1 or -1, got {energy_sign}")
-    p = np.asarray(momentum, dtype=float)
-    k = math.hypot(*p)
-    if k == 0.0:
-        raise ZeroMomentum("plane-wave amplitude needs |p| > 0")
-    eps = energy_from_momentum(species, k, mass)
-    two = np.asarray(chi_or_phi, dtype=complex)
-    if two.shape != (2,):
-        raise ValueError("chi_or_phi must be a two-component spinor")
-    tachyonic = species is not Species.BRADYON
-    if rep is Representation.STANDARD:
-        psig = sum(p[i] * PAULI[i] for i in range(3))
-        if tachyonic:
-            if eps == 0.0:
-                raise TranscendentDivision(
-                    "the general-spinor form divides by eps; "
-                    "use amplitude() at the transcendent point")
-            linked = (psig - mass * np.eye(2)) @ two / eps
-        else:
-            linked = psig @ two / (eps + mass)
-        if energy_sign == 1:
-            return np.concatenate([two, linked])
-        return np.concatenate([linked, two])
-    if mass == 0.0:
-        raise ValueError("massless chiral amplitudes are not parameterized by a "
-                         "single two-spinor; use amplitude()")
-    # Split the two-spinor by helicity, two = alpha theta_+ + beta theta_-:
-    # theta_+- theta_+-^dag are the projectors (1 +- p.sigma/k)/2, and a
-    # helicity spinor of p itself gets an exactly zero coefficient on the other.
-    n = p / k
-    theta = _helicity_spinors(np.array([n, n]), np.array([1, -1]))
-    alpha, beta = np.sum(theta.conj() * two, axis=1)
-    # p.sigma theta_+- = +-k theta_+-, so each form scales the helicities by
-    # (k + eps)/m or by the cancelling (k - eps)/m (pseudotachyon),
-    # (eps - k)/m (bradyon), taken in its stable form m/(k + eps)
-    big, small = (k + eps) / mass, mass / (k + eps)
-    if energy_sign == 1:
-        # (p.sigma - eps) phi / m, (eps - p.sigma) phi / m
-        plus, minus = small, -big if tachyonic else big
-    else:
-        # -(p.sigma + eps) chi / m, -(eps + p.sigma) chi / m
-        plus, minus = -big, small if tachyonic else -small
-    linked = plus * alpha * theta[0] + minus * beta * theta[1]
-    if energy_sign == 1:
-        return np.concatenate([two, linked])
-    return np.concatenate([linked, two])
 
 
 _EYE4 = np.eye(4)

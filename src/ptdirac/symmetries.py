@@ -184,6 +184,8 @@ def _check_antisymmetric(domega: np.ndarray) -> np.ndarray:
     d = np.asarray(domega, dtype=float)
     if d.shape[-2:] != (4, 4):
         raise ValueError("generator parameters must form a 4x4 matrix")
+    if np.count_nonzero(np.isfinite(d)) != d.size:
+        raise ValueError("generator parameters must be finite")
     scale = 1.0 + np.abs(d).max(axis=(-2, -1))
     if np.any(np.abs(d + np.swapaxes(d, -1, -2)).max(axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("generator parameters must be antisymmetric")
@@ -236,7 +238,8 @@ def lorentz_boost_spinor(axis, rapidity,
     """Finite bispinor boost cosh(zeta/2) I - sinh(zeta/2) alpha.n.
 
     (alpha.n)^2 = I closes the exponential series exactly; det S = 1 and
-    [S, gamma^5] = 0.  Axes (..., 3) with rapidities (...) give one map per row.
+    [S, gamma^5] = 0.  Axes (..., 3) and rapidities (...) broadcast to one map
+    per row: rapidities (k, n) against axes (n, 3) give k maps per axis.
     """
     return _boost_spinors(_unit_axis(axis),
                           *_cosh_sinh(np.asarray(rapidity, dtype=float) / 2.0), rep)
@@ -257,13 +260,7 @@ def apply_boost(spec, axis, rapidity, w=None) -> tuple[np.ndarray, float]:
         w = amplitude(spec)
     zeta = np.asarray(rapidity, dtype=float)
     ch, sh = _cosh_sinh(np.array([zeta / 2.0, zeta]))
-    return _boosted(spec, w, _boost_spinors(n, ch[0], sh[0], spec.rep), n, zeta, (ch[1], sh[1]))
-
-
-def _boosted(spec, w, s, n, zeta, cosh_sinh) -> tuple[np.ndarray, np.ndarray]:
-    """`apply_boost` with the spinor maps ``s``, the unit axes ``n`` and the
-    cosh and sinh of zeta (not zeta/2) already built."""
-    transformed = np.einsum("...ij,...j->...i", s, w)
-    q = _boost_arrays(spec.four_momentum, n, zeta, cosh_sinh)
+    transformed = np.einsum("...ij,...j->...i", _boost_spinors(n, ch[0], sh[0], spec.rep), w)
+    q = _boost_arrays(spec.four_momentum, n, zeta, (ch[1], sh[1]))
     target = wave_operator(spec, q, spec.energy_sign * spec.mass)
     return transformed, relative_residual(target, transformed)

@@ -411,12 +411,10 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     for g in random_spec(seed, "symmetries", trials):
         w = spinors.group_amplitudes(g)
         inter.append(symmetries.discrete_images(g, w)[1])
-        # one boost map per row and rapidity, S(zeta), S(zeta2) and
-        # S(zeta + zeta2), from one axis check, one alpha.n and one cosh/sinh
-        n, z, z2 = kinematics._unit_axis(axes[g.rows]), zetas[g.rows], zetas2[g.rows]
-        ch, sh = kinematics._cosh_sinh(np.array([z / 2.0, z2 / 2.0, (z + z2) / 2.0, z]))
-        s_fin, s2, s12 = symmetries._boost_spinors(n, ch[:3], sh[:3], g.rep)
-        bcov.append(symmetries._boosted(g, w, s_fin, n, z, (ch[3], sh[3]))[1])
+        n, z, z2 = axes[g.rows], zetas[g.rows], zetas2[g.rows]
+        bcov.append(symmetries.apply_boost(g, n, z, w)[1])
+        # S(zeta), S(zeta2) and S(zeta + zeta2) of every row, in one call
+        s_fin, s2, s12 = symmetries.lorentz_boost_spinor(n, np.array([z, z2, z + z2]), g.rep)
         for s in (s_fin, symmetries.lorentz_generator(generators[g.rows], g.rep)):
             s_g5_minus_g5_s = (s.reshape(-1, 16) @ _gamma5_maps(g.rep)[0]).reshape(s.shape)
             g5comm.append(np.linalg.norm(s_g5_minus_g5_s, axis=(1, 2)))

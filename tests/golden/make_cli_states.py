@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -91,13 +90,8 @@ def run(argv) -> str:
 
 
 def render() -> str:
-    """Every run, at the default tolerance (PT_DIRAC_TOL unset)."""
-    saved = os.environ.pop("PT_DIRAC_TOL", None)
-    try:
-        return "".join(run(argv) for argv in runs())
-    finally:
-        if saved is not None:
-            os.environ["PT_DIRAC_TOL"] = saved
+    """Every run, at the default tolerance."""
+    return "".join(run(argv) for argv in runs())
 
 
 if __name__ == "__main__":

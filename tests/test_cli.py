@@ -18,11 +18,8 @@ GOLDEN = Path(__file__).parent / "golden" / "dispersion_m3.csv"
 
 
 def run_proc(*args, env_extra=None):
-    env = os.environ.copy()
-    env.pop("PT_DIRAC_TOL", None)
-    env.update(env_extra or {})
     return subprocess.run([sys.executable, "-m", "ptdirac", *args],
-                          capture_output=True, env=env)
+                          capture_output=True, env=dict(os.environ, **(env_extra or {})))
 
 
 def run_main(capsys, *args):
@@ -397,35 +394,14 @@ def test_verify_negative_seed_is_usage_error(capsys, monkeypatch):
         "ptdirac verify: error: argument --seed: expected a non-negative integer, got -1\n")
 
 
-def test_verify_env_tolerance_override():
-    proc = run_proc("verify", "--trials", "40",
-                    env_extra={"PT_DIRAC_TOL": "1e-30"})
-    assert proc.returncode == 1
-
-
-def test_parser_is_built_once_per_default_tolerance():
-    assert cli.build_parser(1e-12) is cli.build_parser(1e-12)
-    assert cli.build_parser(1e-12) is not cli.build_parser(1e-30)
-
-
-def test_env_tolerance_is_read_on_each_call(capsys, monkeypatch):
-    argv = ["transform", "--op", "P", "--species", "pt", "--momentum", "0,0,5", "--mass", "3"]
-    monkeypatch.setenv("PT_DIRAC_TOL", "1e-30")
-    assert run_main(capsys, *argv)[0] == 1
-    monkeypatch.delenv("PT_DIRAC_TOL")
-    assert run_main(capsys, *argv)[0] == 0
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_main_calls_the_current_command_function(capsys, monkeypatch):
     run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11")
     monkeypatch.setattr(cli, "cmd_dispersion", lambda args: 7)
     assert run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11")[0] == 7
-
-
-def test_invalid_env_tolerance_is_usage_error():
-    proc = run_proc("verify", "--trials", "40",
-                    env_extra={"PT_DIRAC_TOL": "not-a-number"})
-    assert proc.returncode == 2
 
 
 # ------------------------------------------------------ out-of-range arguments

@@ -3,13 +3,13 @@ import pytest
 
 from ptdirac.clifford import (
     METRIC,
+    PAIRS,
     PAULI,
     Representation,
     contract,
     dagger,
     gamma_set,
     representation_change,
-    sigma_tensor,
     slash,
 )
 
@@ -129,38 +129,23 @@ def test_contract_equals_einsum_bit_for_bit(rep, name):
     assert contract(coeffs.reshape(40, 50, -1), stack).shape == (40, 50, 4, 4)
 
 
-@pytest.mark.parametrize("mu", range(4))
-def test_sigma_tensor_diagonal_vanishes(std, mu):
-    assert np.linalg.norm(sigma_tensor(std, mu, mu)) == 0.0
-
-
-def test_sigma_tensor_definition_off_diagonal(std):
-    expected = 1j * (METRIC[0, 0] * std.gammas[0]) @ (METRIC[1, 1] * std.gammas[1])
-    assert np.linalg.norm(sigma_tensor(std, 0, 1) - expected) == 0.0
-
-
-def test_sigma_tensor_antisymmetry(std):
-    for mu in range(4):
-        for nu in range(4):
-            s = sigma_tensor(std, mu, nu) + sigma_tensor(std, nu, mu)
-            assert np.linalg.norm(s) == 0.0
-
-
-@pytest.mark.parametrize("rep", list(Representation))
-def test_sigma_tensor_commutes_with_gamma5(rep):
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_sigma_pairs_definition(rep):
+    """Row i is sigma_{mu nu} = (i/2)[gamma_mu, gamma_nu] = i gamma_mu gamma_nu
+    of the i-th pair (mu, nu), mu < nu, since distinct gammas anticommute."""
     gs = gamma_set(rep)
-    for mu in range(4):
-        for nu in range(4):
-            s = sigma_tensor(gs, mu, nu)
-            c = s @ gs.gamma5 - gs.gamma5 @ s
-            assert np.linalg.norm(c) <= 1e-14
+    assert gs.sigma_pairs.shape == (6, 4, 4)
+    for i, (mu, nu) in enumerate(PAIRS):
+        expected = 1j * (METRIC[mu, mu] * gs.gammas[mu]) @ (METRIC[nu, nu] * gs.gammas[nu])
+        assert np.linalg.norm(gs.sigma_pairs[i] - expected) == 0.0, (mu, nu)
 
 
-def test_sigma_tensor_index_range(std):
-    with pytest.raises(IndexError):
-        sigma_tensor(std, 0, 4)
-    with pytest.raises(IndexError):
-        sigma_tensor(std, -1, 2)
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_sigma_pairs_commute_with_gamma5(rep):
+    gs = gamma_set(rep)
+    for i, s in enumerate(gs.sigma_pairs):
+        c = s @ gs.gamma5 - gs.gamma5 @ s
+        assert np.linalg.norm(c) <= 1e-14, PAIRS[i]
 
 
 def test_representation_change_on_equal_spinors():

@@ -16,7 +16,7 @@ import ptdirac
 # The names `ptdirac/__init__.py` imported eagerly from each module, in its order.
 EXPORTED = {
     "clifford": ["METRIC", "GammaSet", "Representation", "gamma_set",
-                 "representation_change", "sigma_tensor", "slash"],
+                 "representation_change", "slash"],
     "kinematics": ["DispersionTable", "FourVector", "MassNotZero", "NonPhysicalMomentum",
                    "Species", "SpeedTriple", "ZeroMomentum", "boost", "dispersion_table",
                    "dual_momentum", "energy_from_momentum", "minkowski_dot", "speeds"],
@@ -24,9 +24,9 @@ EXPORTED = {
                     "energy_eigencheck", "expectation_report", "hamiltonian",
                     "mean_four_velocity", "mean_spin_four_vector", "mean_velocity"],
     "spinors": ["NormalizationContext", "PlaneWaveSpec", "TranscendentDivision", "amplitude",
-                "amplitude_from_spinor", "convert_representation", "dirac_operator",
-                "helicity_spinor", "normalization_factor", "proportionality_defect",
-                "solution_residual", "wave_operator"],
+                "convert_representation", "dirac_operator", "helicity_spinor",
+                "normalization_factor", "proportionality_defect", "solution_residual",
+                "wave_operator"],
     "symmetries": ["DiscreteKind", "Sector", "SymmetryMatrix", "apply_boost",
                    "apply_discrete", "discrete_operator", "first_order_covariance_residual",
                    "lorentz_boost_spinor", "lorentz_generator", "pct_phase", "pct_product"],
@@ -41,7 +41,6 @@ CORE = {"ptdirac", "ptdirac.cli", "ptdirac.clifford", "ptdirac.kinematics",
 def loaded(*args: str) -> tuple[int, set[str]]:
     """Exit code and ptdirac modules of one fresh `python -W error` run."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env.pop("PT_DIRAC_TOL", None)
     proc = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", *args],
                           capture_output=True, text=True, env=env)
     modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()

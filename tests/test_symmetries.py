@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ptdirac import verify
 from ptdirac.clifford import Representation, dagger, gamma_set
-from ptdirac.kinematics import Species
+from ptdirac.kinematics import FourVector, Species, boost
 from ptdirac.spinors import PlaneWaveSpec, amplitude
 from ptdirac.symmetries import (
     DiscreteKind,
@@ -159,6 +160,24 @@ def test_generator_rejects_non_antisymmetric():
         lorentz_generator(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_generator_rejects_non_finite_parameters(bad):
+    """NaN fails every comparison of the antisymmetry check, and a matrix full
+    of inf passes it (inf <= inf), so finiteness is checked first."""
+    one = np.zeros((4, 4))
+    one[0, 1], one[1, 0] = bad, -bad
+    stack = np.zeros((3, 4, 4))
+    stack[2] = one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: lorentz_generator(np.full((4, 4), bad)),
+                     lambda: lorentz_generator(one, WEYL),
+                     lambda: lorentz_generator(stack),
+                     lambda: first_order_covariance_residual(one)):
+            with pytest.raises(ValueError, match="generator parameters must be finite"):
+                call()
+
+
 def test_generator_commutes_with_gamma5(rng):
     for rep in (STD, WEYL):
         gs = gamma_set(rep)
@@ -193,6 +212,20 @@ def test_boost_spinor_zero_rapidity():
 def test_boost_spinor_rejects_non_unit_axis():
     with pytest.raises(ValueError):
         lorentz_boost_spinor((0, 0, 0.5), 1.0)
+
+
+def test_nan_rapidity_is_named_by_every_boost():
+    """A NaN rapidity used to give NaN maps and images silently, and a
+    four-vector error about its energy from `boost`."""
+    nan_rows = np.array([0.5, math.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: boost(FourVector(5.0, 0.0, 0.0, 3.0), (0, 0, 1.0), math.nan),
+                     lambda: lorentz_boost_spinor((0, 0, 1.0), math.nan),
+                     lambda: lorentz_boost_spinor(np.array([[0, 0, 1.0]] * 2), nan_rows, WEYL),
+                     lambda: apply_boost(PT_SPEC, (0, 0, 1.0), math.nan)):
+            with pytest.raises(ValueError, match="rapidity must be a number, got nan"):
+                call()
 
 
 def test_boost_spinor_composition_and_det():
