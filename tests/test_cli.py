@@ -398,6 +398,22 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+
+def test_tolerance_is_read_on_each_call(capsys):
+    """The parser is built once, so a --tol given once must not become the
+    default of the next call."""
+    argv = ["transform", "--op", "P", "--species", "pt", "--momentum", "0,0,5", "--mass", "3"]
+    assert run_main(capsys, *argv, "--tol", "1e-30")[0] == 1
+    assert run_main(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("value", ["not-a-number", "0", "-1e-12", "nan"])
+def test_invalid_tolerance_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run_main(capsys, "verify", "--trials", "40", "--tol", value)
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+
 def test_main_calls_the_current_command_function(capsys, monkeypatch):
     run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11")
     monkeypatch.setattr(cli, "cmd_dispersion", lambda args: 7)

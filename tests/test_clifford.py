@@ -148,6 +148,18 @@ def test_sigma_pairs_commute_with_gamma5(rep):
         assert np.linalg.norm(c) <= 1e-14, PAIRS[i]
 
 
+
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_sigma_pairs_are_self_adjoint_under_the_dirac_bar(rep):
+    """gamma^0 sigma_{mu nu}^dag gamma^0 = sigma_{mu nu}, which makes
+    psi-bar sigma_{mu nu} psi real; the three sigma_{0i} are anti-Hermitian
+    and the three sigma_{ij} Hermitian."""
+    gs = gamma_set(rep)
+    g0 = gs.gammas[0]
+    for (mu, nu), s in zip(PAIRS, gs.sigma_pairs):
+        assert np.linalg.norm(g0 @ dagger(s) @ g0 - s) == 0.0, (mu, nu)
+        assert np.linalg.norm(dagger(s) - (-s if mu == 0 else s)) == 0.0, (mu, nu)
+
 def test_representation_change_on_equal_spinors():
     w = representation_change()
     theta = np.array([0.6, 0.8j])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -6,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptdirac.clifford import PAULI, Representation, gamma_set, representation_change
-from ptdirac.kinematics import MassNotZero, NonPhysicalMomentum, Species, ZeroMomentum
+from ptdirac.clifford import PAULI, Representation, dagger, gamma_set, representation_change
+from ptdirac.kinematics import (
+    MassNotZero,
+    NonPhysicalMomentum,
+    Species,
+    ZeroMomentum,
+    energy_from_momentum,
+)
 from ptdirac.spinors import (
     NormalizationContext,
     PlaneWaveSpec,
@@ -251,6 +258,99 @@ def test_transcendent_decoupling(std):
     assert np.linalg.norm((psig - 3.0 * np.eye(2)) @ phi) <= 1e-11
 
 
+# ------------------------------------------- the general solution as a check
+
+def _general_form(species, sign, p, m, two):
+    """The paper's solution built from any two-spinor, in the standard basis:
+    (two; L two) for u and (L two; two) for v, with the link
+    L = (p.sigma - m)/eps for pseudotachyons and p.sigma/(eps + m) for
+    bradyons.  Written from the formulas alone, as a check on the closed
+    helicity amplitudes; it divides by eps, so not at the transcendent point."""
+    p = np.asarray(p, dtype=float)
+    eps = energy_from_momentum(species, math.hypot(*p), m)
+    psig = sum(p[i] * PAULI[i] for i in range(3))
+    if species is Species.BRADYON:
+        linked = psig @ two / (eps + m)
+    else:
+        linked = (psig - m * np.eye(2)) @ two / eps
+    return np.concatenate([two, linked] if sign == 1 else [linked, two])
+
+
+def test_pt_amplitude_spot_is_the_general_form():
+    """p = (0, 0, 5), m = 3: eps = 4 and L = diag(1/2, -2)."""
+    two = np.array([1.0, 0.0])
+    w = _general_form(Species.PSEUDOTACHYON, 1, (0, 0, 5.0), 3.0, two)
+    assert np.linalg.norm(w - [1, 0, 0.5, 0]) <= 1e-14
+    assert proportionality_defect(amplitude(pt()), w) <= 1e-14
+
+
+def test_bradyon_amplitude_spot_is_the_general_form():
+    """p = (0, 0, 4), m = 3: eps = 5 and L = diag(1/2, -1/2)."""
+    two = np.array([1.0, 0.0])
+    w = _general_form(Species.BRADYON, 1, (0, 0, 4.0), 3.0, two)
+    assert np.linalg.norm(w - [1, 0, 0.5, 0]) <= 1e-14
+    assert proportionality_defect(amplitude(bradyon()), w) <= 1e-14
+
+
+@pytest.mark.parametrize("rep", [STD, WEYL])
+@pytest.mark.parametrize("species,p,m", [
+    (Species.PSEUDOTACHYON, (1.5, -2.0, 4.0), 2.0),
+    (Species.BRADYON, (0.5, 1.0, -2.0), 1.3),
+])
+def test_general_form_solves_equation_and_matches_helicity(rep, species, p, m):
+    """Fed the helicity spinor, the general form is the closed amplitude as a
+    ray, in either basis (the Weyl one through the representation change)."""
+    to_rep = np.eye(4) if rep is STD else dagger(representation_change())
+    for sign in (1, -1):
+        for lam in (1, -1):
+            spec = PlaneWaveSpec(species, sign, p, m, lam, rep)
+            theta = helicity_spinor(p, spec.helicity_eigenvalue)
+            w = to_rep @ _general_form(species, sign, p, m, theta)
+            assert np.linalg.norm(dirac_operator(spec) @ w) / np.linalg.norm(w) <= 1e-12
+            assert proportionality_defect(w, amplitude(spec)) <= 1e-12
+
+
+@pytest.mark.parametrize("species,p,m", [
+    (Species.PSEUDOTACHYON, (1e200, 0.0, 0.0), 1.0),
+    (Species.BRADYON, (1e-300, 0.0, 0.0), 1e-300),
+], ids=["1e200", "1e-300"])
+def test_general_form_at_extreme_momenta(species, p, m):
+    """The closed amplitude keeps the ray of the general form at |p| = 1e200
+    and 1e-300, where k^2 overflows or underflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = _general_form(species, 1, p, m, helicity_spinor(p, 1))
+        assert np.all(np.isfinite(w))
+        assert proportionality_defect(w, amplitude(PlaneWaveSpec(species, 1, p, m, 1))) <= 1e-12
+
+
+def _unit_directions():
+    rng = np.random.default_rng(23)
+    dirs = rng.normal(size=(4, 3))
+    return [(1.0, 0.0, 0.0), (0.0, 0.0, -1.0), *(dirs / np.linalg.norm(dirs, axis=1)[:, None])]
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 2**-40, 10.0, 1e5, 1e9, 1e50, 1e200])
+@pytest.mark.parametrize("species", [Species.PSEUDOTACHYON, Species.BRADYON])
+def test_weyl_amplitude_is_stable_at_large_k_over_m(species, ratio):
+    """The chiral factors sqrt(k + eps) and m/sqrt(k + eps) leave out the
+    cancelling sqrt(k - eps) (pseudotachyon) or sqrt(eps - k) (bradyon), which
+    keeps no digits once k/m passes about 1e8.  So for every k/m, both
+    helicities and both energy signs the Weyl amplitude is the ray of the
+    standard one under the representation change; a factor taken through the
+    difference would miss it by about 1e-8 at k/m = 1e9."""
+    change = representation_change()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for direction, m in itertools.product(_unit_directions(), (1.0, 2.5)):
+            p = tuple(ratio * m * c for c in direction)
+            for sign, lam in itertools.product((1, -1), (1, -1)):
+                w_weyl = amplitude(PlaneWaveSpec(species, sign, p, m, lam, WEYL))
+                w_std = amplitude(PlaneWaveSpec(species, sign, p, m, lam, STD))
+                assert np.all(np.isfinite(w_weyl))
+                assert proportionality_defect(change @ w_weyl, w_std) <= 1e-12, (p, sign, lam)
+
+
 # ---------------------------------------------------------------- normalization
 
 def test_normalization_factor_spots():
@@ -335,6 +435,23 @@ def test_proportionality_defect_does_not_overflow():
             assert proportionality_defect(w, 3 * w) == 0.0
         assert np.array_equal(proportionality_defect(HUGE_RAYS, -3j * HUGE_RAYS), np.zeros(4))
 
+
+
+@pytest.mark.parametrize("species", [Species.PSEUDOTACHYON, Species.BRADYON])
+def test_proportionality_defect_does_not_overflow_on_scaled_amplitudes(species):
+    """Weyl amplitudes at k/m = 1e200 scaled by 2^560 have entries near 1e269
+    beside entries near 1e68: the defect of each against its own multiples
+    and its unscaled self is zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for direction, sign, lam in itertools.product(((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
+                                                      (1, -1), (1, -1)):
+            p = tuple(1e200 * c for c in direction)
+            w0 = amplitude(PlaneWaveSpec(species, sign, p, 1.0, lam, WEYL))
+            w = w0 * 2.0**560
+            assert np.isinf(np.vdot(w, w).real)
+            assert proportionality_defect(w, 3 * w) == 0.0
+            assert proportionality_defect(w, w0) == 0.0
 
 @pytest.mark.parametrize("species", [Species.PSEUDOTACHYON, Species.BRADYON])
 def test_subnormal_row_is_computed_at_a_normal_scale(species):
