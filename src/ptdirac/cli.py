@@ -35,13 +35,7 @@ from .kinematics import (
     dispersion_table,
 )
 from .observables import MasslessSpecies, expectation_report
-from .spinors import (
-    NormalizationContext,
-    PlaneWaveSpec,
-    amplitude,
-    normalization_factor,
-    solution_residual,
-)
+from .spinors import PlaneWaveSpec, amplitude, normalization_factor, solution_residual
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -94,18 +88,22 @@ def _three_floats(text: str) -> tuple[float, float, float]:
     return (x, y, z)
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _precision(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if not 3 <= value <= 17:
         raise argparse.ArgumentTypeError(f"precision must be in [3, 17], got {value}")
     return value
 
 
 def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:  # argparse's own message for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
     return value
@@ -231,7 +229,7 @@ def cmd_spinor(args) -> int:
     w = amplitude(spec)
     p = args.precision
     norm = float(np.real(np.vdot(w, w)))
-    n_factor = normalization_factor(spec, NormalizationContext(volume=args.volume))
+    n_factor = normalization_factor(spec, args.volume)
     print("components " + " ".join(_fmt_complex(z, p) for z in w))
     print(f"norm {_fmt(norm, p)}")
     print(f"normalization {_fmt(n_factor, p)}")

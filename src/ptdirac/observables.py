@@ -37,7 +37,14 @@ class MasslessSpecies(ValueError):
 
 @dataclass(frozen=True)
 class ExpectationReport:
-    """Every plane-wave expectation value of one spec, plus shell residuals."""
+    """Every plane-wave expectation value of one spec, plus shell residuals.
+
+    ``constraint_residuals`` holds the residuals of the constraints linking
+    p, vbar, sbar, m on each shell.  Bradyons: p^2 = m^2, p.vbar = m,
+    p.sbar = 0.  Pseudotachyons: p^2 = -m^2, p.vbar = 0, p.sbar = -m h with
+    h the helicity eigenvalue of the state.  All entries vanish identically
+    for amplitudes produced here.
+    """
 
     mean_velocity: tuple[float, float, float]
     mean_four_velocity: FourVector
@@ -167,7 +174,7 @@ _CONSTRAINT_NAMES = {
 
 def constraint_values(spec, vbar: np.ndarray, sbar: np.ndarray) -> np.ndarray:
     """The three constraint residuals (..., 3) of a spec or group, in the
-    order of its names in `constraint_residuals`."""
+    order of `ExpectationReport.constraint_residuals`."""
     p4 = spec.four_momentum
     m = np.asarray(spec.mass)
     p2, pv, ps = minkowski_dot(p4, np.array([p4, vbar, sbar]))
@@ -177,16 +184,6 @@ def constraint_values(spec, vbar: np.ndarray, sbar: np.ndarray) -> np.ndarray:
     else:
         out[..., 0], out[..., 1], out[..., 2] = p2 + m * m, pv, ps + m * spec.helicity_eigenvalue
     return out
-
-
-def constraint_residuals(spec: PlaneWaveSpec) -> dict[str, float]:
-    """Residuals of the constraints linking p, vbar, sbar, m on each shell.
-
-    Bradyons: p^2 = m^2, p.vbar = m, p.sbar = 0.  Pseudotachyons:
-    p^2 = -m^2, p.vbar = 0, p.sbar = -m h with h the helicity eigenvalue of
-    the state.  All entries vanish identically for amplitudes produced here.
-    """
-    return expectation_report(spec).constraint_residuals
 
 
 def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:

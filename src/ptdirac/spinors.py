@@ -82,19 +82,6 @@ def helicity_spinor(direction, lam: int) -> np.ndarray:
     return _helicity_spinors((n / norm)[None], lam)[0]
 
 
-@dataclass(frozen=True)
-class NormalizationContext:
-    """Quantization volume for the one-particle-in-V normalization: one
-    volume, or an array of them, one per spec of a group."""
-
-    volume: float = 1.0
-
-    def __post_init__(self):
-        v = np.asarray(self.volume)
-        if not (np.isfinite(v).all() and (v > 0).all()):
-            raise ValueError(f"volume must be finite and positive, got {self.volume}")
-
-
 _ZERO_MOMENTUM = "plane-wave spec needs |p| > 0 (helicity direction)"
 # 2 x overflows exactly when x exceeds half the largest float
 _HALF_MAX = sys.float_info.max / 2.0
@@ -182,12 +169,16 @@ class SpecGroup:
         The one plane-wave validator, `PlaneWaveSpec` included.  It computes
         |p| with ``math.hypot``, a scaled norm that neither overflows at 1e200
         nor underflows at 1e-300, and the shell energy with
-        `energy_from_momentum`, once per spec.  The first invalid spec raises
-        ValueError, `ZeroMomentum`, or the shell error of
+        `energy_from_momentum`, once per spec.  A ``species`` or ``rep``
+        that is not a member of its enum raises ValueError; so does the first
+        invalid spec, or it raises `ZeroMomentum` or the shell error of
         `energy_from_momentum`; a norm target w^dag w = 2 max(k, eps)
         (`norm_convention`) beyond the floating-point range raises
         ValueError.
         """
+        for name, value, kind in (("species", species, Species), ("rep", rep, Representation)):
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         p, m = np.asarray(momentum, dtype=float), np.asarray(mass, dtype=float)
         # np.count_nonzero is the cheapest reduction on one-row groups
         if p.ndim != 2 or p.shape[1] != 3 or np.count_nonzero(np.isfinite(p)) != p.size:
@@ -387,16 +378,23 @@ def norm_convention(spec):
     return 2.0 * spec.k
 
 
-def normalization_factor(spec, ctx: NormalizationContext = NormalizationContext()):
+def normalization_factor(spec, volume=1.0):
     """N with N^2 (w^dag w) = 1/V: 1/sqrt(2kV) tachyonic, 1/sqrt(2 eps V) bradyon,
     of a spec, or of each spec of a group.
 
+    ``volume`` is the quantization volume V of the one-particle-in-V
+    normalization: one finite positive volume, or one per spec of a group.
     The product target * V is formed from the two mantissas and scaled
     exactly by 4^-j, j half its binary exponent, and the result by 2^-j, so
     it neither overflows nor underflows where N itself is a normal float; a
     factor beyond that range raises ValueError.
     """
-    (t, et), (v, ev) = np.frexp(norm_convention(spec)), np.frexp(ctx.volume)
+    target, vol = norm_convention(spec), np.asarray(volume, dtype=float)
+    if vol.shape not in ((), np.shape(target)):
+        raise ValueError(f"volume must be one value or one per spec, got shape {vol.shape}")
+    if not (np.isfinite(vol).all() and (vol > 0).all()):
+        raise ValueError(f"volume must be finite and positive, got {volume}")
+    (t, et), (v, ev) = np.frexp(target), np.frexp(vol)
     j = (et + ev) // 2
     with np.errstate(over="ignore", under="ignore"):
         n = np.ldexp(1.0 / np.sqrt(np.ldexp(t * v, et + ev - 2 * j)), -j)

@@ -1,17 +1,17 @@
 """Discrete symmetry operators, their defining identities, and Lorentz spinor maps.
 
 Parity and charge conjugation pick up an extra gamma^5 when passing from the
-bradyonic sector to the pseudotachyon sector; time inversion and 4-inversion
-are common to both:
+bradyonic family to the pseudotachyonic one (luxons included); time
+inversion and 4-inversion are common to both:
 
-    sector          P               C                 T              I
+    family          P               C                 T              I
     bradyonic       gamma^0         i gamma^2         i g^1 g^3      i gamma^5
     pseudotachyon   gamma^0 g^5     i gamma^2 g^5     i g^1 g^3      i gamma^5
 
-C and T act antilinearly; they are modelled as (matrix, conjugate-the-
-argument) pairs, verified in momentum space only.  The product P C T equals
-the 4-inversion operator exactly in the pseudotachyon sector and up to a
-global phase (reported, not asserted) in the bradyonic one.
+C and T act antilinearly (`DiscreteKind.antilinear`): their matrix acts on
+the conjugated argument, verified in momentum space only.  The product P C T
+equals the 4-inversion operator exactly for pseudotachyons and up to a
+global phase (reported, not asserted) for bradyons.
 
 Finite boosts act on bispinors through S = exp(-zeta/2 alpha.n) =
 cosh(zeta/2) I - sinh(zeta/2) alpha.n, the one-parameter family whose
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,35 +37,23 @@ class DiscreteKind(enum.Enum):
     TIME_INVERSION = "T"
     FOUR_INVERSION = "I"
 
-
-class Sector(enum.Enum):
-    BRADYONIC = "bradyonic"
-    PSEUDOTACHYONIC = "pseudotachyonic"
-
-
-def sector_for(species: Species) -> Sector:
-    """Luxons sit in the tachyonic family (their amplitudes are its m -> 0 limit)."""
-    if species is Species.BRADYON:
-        return Sector.BRADYONIC
-    return Sector.PSEUDOTACHYONIC
-
-
-@dataclass(frozen=True)
-class SymmetryMatrix:
-    matrix: np.ndarray
-    conjugates_argument: bool
+    @property
+    def antilinear(self) -> bool:
+        """True for C and T, whose matrix acts on the conjugated argument."""
+        return self in (DiscreteKind.CHARGE_CONJUGATION, DiscreteKind.TIME_INVERSION)
 
 
 @functools.lru_cache(maxsize=None)
-def discrete_operator(kind: DiscreteKind, sector: Sector,
-                      rep: Representation) -> SymmetryMatrix:
-    """The unitary matrix of one discrete symmetry in one sector and basis.
+def discrete_operator(kind: DiscreteKind, species: Species, rep: Representation) -> np.ndarray:
+    """The unitary matrix of one discrete symmetry for one species and basis.
 
-    Built once per (kind, sector, basis); the matrix is read-only.
+    Luxons take the pseudotachyon matrices (their amplitudes are that
+    family's m -> 0 limit).  Built once per (kind, species, basis); the
+    matrix is read-only.
     """
     gs = gamma_set(rep)
     g = gs.gammas
-    extra = gs.gamma5 if sector is Sector.PSEUDOTACHYONIC else np.eye(4)
+    extra = np.eye(4) if species is Species.BRADYON else gs.gamma5
     if kind is DiscreteKind.PARITY:
         matrix = g[0] @ extra
     elif kind is DiscreteKind.CHARGE_CONJUGATION:
@@ -77,9 +64,8 @@ def discrete_operator(kind: DiscreteKind, sector: Sector,
         matrix = 1j * gs.gamma5
     else:
         raise ValueError(f"unknown discrete kind {kind!r}")
-    conj = kind in (DiscreteKind.CHARGE_CONJUGATION, DiscreteKind.TIME_INVERSION)
     matrix.setflags(write=False)
-    return SymmetryMatrix(matrix=matrix, conjugates_argument=conj)
+    return matrix
 
 
 _KINDS = tuple(DiscreteKind)
@@ -91,8 +77,8 @@ _MASS_SIGNS = np.array([1.0, -1.0])
 
 
 @functools.lru_cache(maxsize=None)
-def _discrete_stack(sector: Sector, rep: Representation) -> np.ndarray:
-    """The four `discrete_operator` matrices of one sector and basis as a
+def _discrete_stack(species: Species, rep: Representation) -> np.ndarray:
+    """The four `discrete_operator` matrices of one species and basis as a
     (2, 4, 4, 4) stack S[c, k] (kind k in the order of DiscreteKind), S[0, k]
     acting on w and S[1, k] on conj(w), the other one of each pair zero.
 
@@ -102,8 +88,7 @@ def _discrete_stack(sector: Sector, rep: Representation) -> np.ndarray:
     """
     stack = np.zeros((2, 4, 4, 4), dtype=complex)
     for i, kind in enumerate(_KINDS):
-        op = discrete_operator(kind, sector, rep)
-        stack[int(op.conjugates_argument), i] = op.matrix
+        stack[int(kind.antilinear), i] = discrete_operator(kind, species, rep)
     flat = stack.transpose(0, 3, 1, 2).reshape(8, 16)
     flat.setflags(write=False)
     return flat
@@ -114,8 +99,7 @@ def _images(spec, w) -> tuple[np.ndarray, np.ndarray]:
     rows = w.shape[:-1]
     both = np.concatenate([w, w.conj()], axis=-1)
     # the images as (..., a, b, 4), kind 2a + b, each pair against its target b
-    images = (both @ _discrete_stack(sector_for(spec.species), spec.rep)).reshape(
-        rows + (2, 2, 4))
+    images = (both @ _discrete_stack(spec.species, spec.rep)).reshape(rows + (2, 2, 4))
     p4 = spec.four_momentum[..., None, :] * _MOMENTUM_SIGNS
     signed_mass = (spec.energy_sign * np.asarray(spec.mass))[..., None] * _MASS_SIGNS
     target = wave_operator(spec, p4, signed_mass)
@@ -128,7 +112,7 @@ def discrete_images(spec, w=None) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the transformed bispinors (..., 4, 4), one row per kind, and the
     residuals (..., 4).  Both come from one pass: the (2, 4, 4, 4) operator
-    stack of the sector and basis applied to (w, conj w), and one
+    stack of the species and basis applied to (w, conj w), and one
     `wave_operator` stack of the two targets, (eps; -p) with the mass term of
     w for P and T and (eps; p) with the opposite one for C and I, each applied
     to its pair of images in one `relative_residual`.
@@ -161,23 +145,19 @@ def apply_discrete(kind: DiscreteKind, spec, w=None) -> tuple[np.ndarray, float]
     return transformed[..., i, :], residuals[..., i][()]
 
 
-def pct_product(sector: Sector, rep: Representation) -> np.ndarray:
+def pct_product(species: Species, rep: Representation) -> np.ndarray:
     """The plain matrix product U_P U_C U_T, no argument conjugations applied."""
-    p = discrete_operator(DiscreteKind.PARITY, sector, rep).matrix
-    c = discrete_operator(DiscreteKind.CHARGE_CONJUGATION, sector, rep).matrix
-    t = discrete_operator(DiscreteKind.TIME_INVERSION, sector, rep).matrix
+    p, c, t = (discrete_operator(DiscreteKind(op), species, rep) for op in "PCT")
     return p @ c @ t
 
 
-def pct_phase(sector: Sector, rep: Representation) -> complex:
+def pct_phase(species: Species, rep: Representation) -> complex:
     """Global phase of U_P U_C U_T relative to the 4-inversion operator.
 
-    Exactly 1 in the pseudotachyon sector; measured (not asserted) for the
-    bradyonic one.
+    Exactly 1 for pseudotachyons; measured (not asserted) for bradyons.
     """
-    prod = pct_product(sector, rep)
-    inv = discrete_operator(DiscreteKind.FOUR_INVERSION, sector, rep).matrix
-    return complex(np.trace(prod @ dagger(inv)) / 4.0)
+    inv = discrete_operator(DiscreteKind.FOUR_INVERSION, species, rep)
+    return complex(np.trace(pct_product(species, rep) @ dagger(inv)) / 4.0)
 
 
 def _check_antisymmetric(domega: np.ndarray) -> np.ndarray:

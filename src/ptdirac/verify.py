@@ -27,7 +27,7 @@ import numpy as np
 from . import clifford, kinematics, observables, spinors, symmetries
 from .clifford import METRIC, PAULI, Representation, dagger, gamma_set
 from .kinematics import Species, minkowski_dot
-from .spinors import NormalizationContext, SpecGroup
+from .spinors import SpecGroup
 
 
 @dataclass(frozen=True)
@@ -110,19 +110,19 @@ _COMBOS = [(species, sign, lam, rep)
            for rep in (Representation.STANDARD, Representation.WEYL)]
 
 
-def random_spec(seed: int, group: str, trials: int, *, massive_only: bool = False,
-                modest_shells: bool = False) -> list[SpecGroup]:
+def random_spec(seed: int, group: str, trials: int, *, massive: bool = False) -> list[SpecGroup]:
     """The plane-wave specs of every trial, one group per species and basis.
 
     Trial i takes its labels from species x sign x helicity x basis cycled by
     i, and its masses and momenta from row i of the group's spec stream; the
     energy sign and helicity of each trial are columns of its group.
     Pseudotachyon shells span k in [m, 10m] and hit k = m exactly on a fixed
-    subsequence; ``modest_shells`` caps the scales for checks whose absolute
+    subsequence.  ``massive`` drops the luxons and caps the scales (m up to
+    2, k up to 8m), for checks that divide by the mass and whose absolute
     residuals grow with k^2/m.
     """
-    combos = [c for c in _COMBOS if not (massive_only and c[0] is Species.LUXON)]
-    m_hi, k_fac = (2.0, 8.0) if modest_shells else (3.0, 10.0)
+    combos = [c for c in _COMBOS if not (massive and c[0] is Species.LUXON)]
+    m_hi, k_fac = (2.0, 8.0) if massive else (3.0, 10.0)
     u_m, u_k, u_z, u_phi = _uniforms(seed, group, _SPECS, trials, 4)
     n = _directions(u_z, u_phi)
     combo_of = np.arange(trials) % len(combos)
@@ -278,9 +278,8 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         h = g.helicity_eigenvalue[:, None]
         solution.append(spinors.solution_residual(g, w))
         norm.append(np.abs(n2 - spinors.norm_convention(g)))
-        ctx = NormalizationContext(volume=volumes[g.rows])
-        n_fac = spinors.normalization_factor(g, ctx)
-        normid.append(np.abs(n_fac ** 2 * n2 * ctx.volume - 1.0))
+        v = volumes[g.rows]
+        normid.append(np.abs(spinors.normalization_factor(g, v) ** 2 * n2 * v - 1.0))
 
         lam_op = clifford.contract(g.momentum, gs.sigma_spin) / g.k[:, None, None]
         hel.append(np.linalg.norm(_rows(lam_op, w) - h * w, axis=1) / nw)
@@ -332,7 +331,7 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     _check_trials(trials)
     dual, vclosed, vbar, sbar, cons, herm, eig = ([] for _ in range(7))
-    for g in random_spec(seed, "observables", trials, massive_only=True, modest_shells=True):
+    for g in random_spec(seed, "observables", trials, massive=True):
         w = spinors.group_amplitudes(g)
         b, scale = observables.bilinears(w, g.rep)
         v = observables.mean_velocity(g, b)
@@ -380,26 +379,19 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 
 def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     _check_trials(trials)
-    unit = []
+    unit, pct = [], []
+    pt, brad = Species.PSEUDOTACHYON, Species.BRADYON
+    inversion = symmetries.DiscreteKind.FOUR_INVERSION
     for rep in (Representation.STANDARD, Representation.WEYL):
-        for sector in symmetries.Sector:
+        for species in (brad, pt):
             for kind in symmetries.DiscreteKind:
-                u = symmetries.discrete_operator(kind, sector, rep).matrix
+                u = symmetries.discrete_operator(kind, species, rep)
                 unit.append(np.linalg.norm(dagger(u) @ u - np.eye(4)))
-
-    pct = []
-    for rep in (Representation.STANDARD, Representation.WEYL):
-        inv = symmetries.discrete_operator(
-            symmetries.DiscreteKind.FOUR_INVERSION, symmetries.Sector.PSEUDOTACHYONIC,
-            rep).matrix
-        pct.append(np.linalg.norm(
-            symmetries.pct_product(symmetries.Sector.PSEUDOTACHYONIC, rep) - inv))
-        phase = symmetries.pct_phase(symmetries.Sector.BRADYONIC, rep)
-        inv_b = symmetries.discrete_operator(
-            symmetries.DiscreteKind.FOUR_INVERSION, symmetries.Sector.BRADYONIC,
-            rep).matrix
-        pct.append(np.linalg.norm(
-            symmetries.pct_product(symmetries.Sector.BRADYONIC, rep) - phase * inv_b))
+        pct.append(np.linalg.norm(symmetries.pct_product(pt, rep)
+                                  - symmetries.discrete_operator(inversion, pt, rep)))
+        phase = symmetries.pct_phase(brad, rep)
+        pct.append(np.linalg.norm(symmetries.pct_product(brad, rep)
+                                  - phase * symmetries.discrete_operator(inversion, brad, rep)))
 
     u_z, u_phi, u_zeta, u_zeta2, *u_gen = _uniforms(seed, "symmetries", _INPUTS, trials, 20)
     axes = _directions(u_z, u_phi)
@@ -431,7 +423,7 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 
 
 def symmetry_notes() -> tuple[str, ...]:
-    phase = symmetries.pct_phase(symmetries.Sector.BRADYONIC, Representation.STANDARD)
+    phase = symmetries.pct_phase(Species.BRADYON, Representation.STANDARD)
     return (f"bradyonic PCT phase relative to 4-inversion: "
             f"{phase.real:+.12f}{phase.imag:+.12f}i",)
 

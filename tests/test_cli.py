@@ -394,6 +394,22 @@ def test_verify_negative_seed_is_usage_error(capsys, monkeypatch):
         "ptdirac verify: error: argument --seed: expected a non-negative integer, got -1\n")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--precision", "abc", "invalid int value: 'abc'"),
+    ("--precision", "2", "precision must be in [3, 17], got 2"),
+    ("--seed", "abc", "invalid int value: 'abc'"),
+])
+def test_integer_option_errors_read_as_argparse_ones(capsys, flag, value, message):
+    argv = (["dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11"]
+            if flag == "--precision" else ["verify"])
+    with pytest.raises(SystemExit) as exc:
+        run_main(capsys, *argv, flag, value)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"ptdirac {argv[0]}: error: argument {flag}: {message}\n")
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

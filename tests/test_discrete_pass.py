@@ -25,8 +25,8 @@ KINDS = list(DiscreteKind)
 
 def reference_image(kind, spec, w):
     """One discrete image and its residual, computed for this kind alone."""
-    op = symmetries.discrete_operator(kind, symmetries.sector_for(spec.species), spec.rep)
-    transformed = (np.conj(w) if op.conjugates_argument else w) @ op.matrix.T
+    op = symmetries.discrete_operator(kind, spec.species, spec.rep)
+    transformed = (np.conj(w) if kind.antilinear else w) @ op.T
     eps = np.asarray(spec.epsilon, dtype=float)
     p4 = np.concatenate([eps[..., None], np.asarray(spec.momentum, dtype=float)], axis=-1)
     signed_mass = spec.energy_sign * np.asarray(spec.mass)

@@ -20,16 +20,15 @@ EXPORTED = {
     "kinematics": ["DispersionTable", "FourVector", "MassNotZero", "NonPhysicalMomentum",
                    "Species", "SpeedTriple", "ZeroMomentum", "boost", "dispersion_table",
                    "dual_momentum", "energy_from_momentum", "minkowski_dot", "speeds"],
-    "observables": ["ExpectationReport", "MasslessSpecies", "constraint_residuals",
-                    "energy_eigencheck", "expectation_report", "hamiltonian",
-                    "mean_four_velocity", "mean_spin_four_vector", "mean_velocity"],
-    "spinors": ["NormalizationContext", "PlaneWaveSpec", "TranscendentDivision", "amplitude",
-                "convert_representation", "dirac_operator", "helicity_spinor",
-                "normalization_factor", "proportionality_defect", "solution_residual",
-                "wave_operator"],
-    "symmetries": ["DiscreteKind", "Sector", "SymmetryMatrix", "apply_boost",
-                   "apply_discrete", "discrete_operator", "first_order_covariance_residual",
-                   "lorentz_boost_spinor", "lorentz_generator", "pct_phase", "pct_product"],
+    "observables": ["ExpectationReport", "MasslessSpecies", "energy_eigencheck",
+                    "expectation_report", "hamiltonian", "mean_four_velocity",
+                    "mean_spin_four_vector", "mean_velocity"],
+    "spinors": ["PlaneWaveSpec", "TranscendentDivision", "amplitude", "convert_representation",
+                "dirac_operator", "helicity_spinor", "normalization_factor",
+                "proportionality_defect", "solution_residual", "wave_operator"],
+    "symmetries": ["DiscreteKind", "apply_boost", "apply_discrete", "discrete_operator",
+                   "first_order_covariance_residual", "lorentz_boost_spinor",
+                   "lorentz_generator", "pct_phase", "pct_product"],
 }
 NAMES = [name for names in EXPORTED.values() for name in names]
 

@@ -5,7 +5,6 @@ from ptdirac.clifford import Representation, dagger, gamma_set
 from ptdirac.kinematics import FourVector, Species, minkowski_dot
 from ptdirac.observables import (
     MasslessSpecies,
-    constraint_residuals,
     energy_eigencheck,
     expectation_report,
     four_vector_closed_forms,
@@ -169,7 +168,7 @@ def test_massless_species_rejected():
     with pytest.raises(MasslessSpecies):
         mean_spin_four_vector(spec)
     with pytest.raises(MasslessSpecies):
-        constraint_residuals(spec)
+        expectation_report(spec)
 
 
 def test_bilinears_match_closed_forms_random(rng):
@@ -190,14 +189,14 @@ def test_bilinears_match_closed_forms_random(rng):
 # -------------------------------------------------------------------- constraints
 
 def test_pt_constraint_labels_and_values():
-    res = constraint_residuals(PT_SPEC)
+    res = expectation_report(PT_SPEC).constraint_residuals
     assert set(res) == {"p2_plus_m2", "p_dot_v", "p_dot_s_plus_m_lambda"}
     assert all(abs(v) <= 1e-11 for v in res.values())
 
 
 def test_bradyon_constraint_labels_and_values():
     from dataclasses import replace
-    res = constraint_residuals(replace(BR_SPEC, helicity=-1))
+    res = expectation_report(replace(BR_SPEC, helicity=-1)).constraint_residuals
     assert set(res) == {"p2_minus_m2", "p_dot_v_minus_m", "p_dot_s"}
     assert all(abs(v) <= 1e-11 for v in res.values())
 
@@ -205,7 +204,7 @@ def test_bradyon_constraint_labels_and_values():
 def test_constraints_random_specs(rng):
     for i in range(400):
         spec = random_massive_spec(rng, i)
-        res = constraint_residuals(spec)
+        res = expectation_report(spec).constraint_residuals
         assert max(abs(v) for v in res.values()) <= 1e-11
 
 

@@ -16,7 +16,6 @@ from ptdirac.kinematics import (
     energy_from_momentum,
 )
 from ptdirac.spinors import (
-    NormalizationContext,
     PlaneWaveSpec,
     SpecGroup,
     amplitude,
@@ -355,9 +354,7 @@ def test_weyl_amplitude_is_stable_at_large_k_over_m(species, ratio):
 
 def test_normalization_factor_spots():
     assert abs(normalization_factor(pt()) - 1 / math.sqrt(10)) <= 1e-15
-    spec = bradyon()
-    ctx = NormalizationContext(volume=2.0)
-    assert abs(normalization_factor(spec, ctx) - 1 / math.sqrt(20)) <= 1e-15
+    assert abs(normalization_factor(bradyon(), volume=2.0) - 1 / math.sqrt(20)) <= 1e-15
 
 
 def test_normalization_factor_transcendent_finite():
@@ -368,14 +365,29 @@ def test_normalization_factor_transcendent_finite():
 def test_normalization_identity():
     for spec in (pt(), bradyon(), luxon(), pt(rep=WEYL, sign=-1)):
         for vol in (0.5, 1.0, 7.25):
-            n = normalization_factor(spec, NormalizationContext(volume=vol))
+            n = normalization_factor(spec, volume=vol)
             w = amplitude(spec)
             assert abs(n * n * np.vdot(w, w).real * vol - 1.0) <= 1e-11
 
 
-def test_normalization_context_validation():
-    with pytest.raises(ValueError):
-        NormalizationContext(volume=0.0)
+@pytest.mark.parametrize("volume", [0.0, -1.0, math.inf, math.nan, [1.0, 0.0]])
+def test_normalization_volume_must_be_finite_and_positive(volume):
+    g = SpecGroup.from_arrays(Species.BRADYON, STD, 1, 1, [(0, 0, 4.0), (0, 3.0, 0)],
+                              [3.0, 1.0], [0, 1])
+    with pytest.raises(ValueError, match="volume must be finite and positive"):
+        normalization_factor(g, volume)
+
+
+def test_normalization_takes_one_volume_or_one_per_spec():
+    g = SpecGroup.from_arrays(Species.BRADYON, STD, 1, 1, [(0, 0, 4.0), (0, 3.0, 0)],
+                              [3.0, 1.0], [0, 1])
+    one = normalization_factor(g, 2.0)
+    assert np.array_equal(normalization_factor(g, [2.0, 2.0]), one)
+    assert np.array_equal(normalization_factor(g, [2.0, 8.0]), one * [1.0, 0.5])
+    for spec, volume in [(bradyon(), [1.0, 4.0]), (bradyon(), [2.0]), (g, [1.0, 2.0, 3.0]),
+                         (g, [[1.0, 2.0]])]:
+        with pytest.raises(ValueError, match="volume must be one value or one per spec"):
+            normalization_factor(spec, volume)
 
 
 # ------------------------------------------------------- representation change
@@ -527,6 +539,22 @@ def test_group_from_arrays_rejects_what_the_spec_rejects(species, sign, p, m, la
     with pytest.raises(error):
         SpecGroup.from_arrays(species, STD, sign, lam, [good, p],
                               [0.0 if species is Species.LUXON else 1.0, m], [0, 1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("species,rep,bad", [
+    (Species.PSEUDOTACHYON, "standard", "rep must be a Representation, got 'standard'"),
+    (Species.PSEUDOTACHYON, 0, "rep must be a Representation, got 0"),
+    ("pseudotachyon", STD, "species must be a Species, got 'pseudotachyon'"),
+    (None, WEYL, "species must be a Species, got None"),
+], ids=["rep-str", "rep-int", "species-str", "species-none"])
+def test_spec_and_group_reject_labels_outside_their_enums(species, rep, bad):
+    """A basis given by name, such as "standard", must not fall through to the
+    Weyl amplitude."""
+    with pytest.raises(ValueError, match=bad):
+        PlaneWaveSpec(species, 1, (0, 0, 5.0), 3.0, 1, rep)
+    with pytest.raises(ValueError, match=bad):
+        SpecGroup.from_arrays(species, rep, 1, 1, [(0, 0, 5.0)], [3.0], [0])
 
 
 def test_group_from_arrays_rejects_misshapen_input():

@@ -10,7 +10,6 @@ from ptdirac.kinematics import FourVector, Species, boost
 from ptdirac.spinors import PlaneWaveSpec, amplitude
 from ptdirac.symmetries import (
     DiscreteKind,
-    Sector,
     apply_boost,
     apply_discrete,
     discrete_operator,
@@ -19,7 +18,6 @@ from ptdirac.symmetries import (
     lorentz_generator,
     pct_phase,
     pct_product,
-    sector_for,
 )
 
 STD = Representation.STANDARD
@@ -31,19 +29,19 @@ PT_SPEC = PlaneWaveSpec(Species.PSEUDOTACHYON, 1, (0, 0, 5.0), 3.0, 1, STD)
 def test_operator_matrices_standard(std):
     g = std.gammas
     g5 = std.gamma5
+    pt, brad = Species.PSEUDOTACHYON, Species.BRADYON
     cases = {
-        (DiscreteKind.PARITY, Sector.PSEUDOTACHYONIC): g[0] @ g5,
-        (DiscreteKind.PARITY, Sector.BRADYONIC): g[0],
-        (DiscreteKind.CHARGE_CONJUGATION, Sector.PSEUDOTACHYONIC): 1j * g[2] @ g5,
-        (DiscreteKind.CHARGE_CONJUGATION, Sector.BRADYONIC): 1j * g[2],
-        (DiscreteKind.TIME_INVERSION, Sector.PSEUDOTACHYONIC): 1j * g[1] @ g[3],
-        (DiscreteKind.TIME_INVERSION, Sector.BRADYONIC): 1j * g[1] @ g[3],
-        (DiscreteKind.FOUR_INVERSION, Sector.PSEUDOTACHYONIC): 1j * g5,
-        (DiscreteKind.FOUR_INVERSION, Sector.BRADYONIC): 1j * g5,
+        (DiscreteKind.PARITY, pt): g[0] @ g5,
+        (DiscreteKind.PARITY, brad): g[0],
+        (DiscreteKind.CHARGE_CONJUGATION, pt): 1j * g[2] @ g5,
+        (DiscreteKind.CHARGE_CONJUGATION, brad): 1j * g[2],
+        (DiscreteKind.TIME_INVERSION, pt): 1j * g[1] @ g[3],
+        (DiscreteKind.TIME_INVERSION, brad): 1j * g[1] @ g[3],
+        (DiscreteKind.FOUR_INVERSION, pt): 1j * g5,
+        (DiscreteKind.FOUR_INVERSION, brad): 1j * g5,
     }
-    for (kind, sector), expected in cases.items():
-        op = discrete_operator(kind, sector, STD)
-        assert np.array_equal(op.matrix, expected), (kind, sector)
+    for (kind, species), expected in cases.items():
+        assert np.array_equal(discrete_operator(kind, species, STD), expected), (kind, species)
 
 
 def test_conjugation_flags():
@@ -51,22 +49,24 @@ def test_conjugation_flags():
                            (DiscreteKind.CHARGE_CONJUGATION, True),
                            (DiscreteKind.TIME_INVERSION, True),
                            (DiscreteKind.FOUR_INVERSION, False)]:
-        op = discrete_operator(kind, Sector.PSEUDOTACHYONIC, STD)
-        assert op.conjugates_argument is expected
+        assert kind.antilinear is expected
 
 
 @pytest.mark.parametrize("rep", [STD, WEYL])
 def test_operators_unitary(rep):
-    for sector in Sector:
+    for species in Species:
         for kind in DiscreteKind:
-            u = discrete_operator(kind, sector, rep).matrix
+            u = discrete_operator(kind, species, rep)
             assert np.linalg.norm(dagger(u) @ u - np.eye(4)) <= 1e-14
 
 
-def test_sector_for_species():
-    assert sector_for(Species.BRADYON) is Sector.BRADYONIC
-    assert sector_for(Species.PSEUDOTACHYON) is Sector.PSEUDOTACHYONIC
-    assert sector_for(Species.LUXON) is Sector.PSEUDOTACHYONIC
+@pytest.mark.parametrize("rep", [STD, WEYL])
+def test_luxons_take_the_pseudotachyon_operators(rep):
+    """Luxon amplitudes are the m -> 0 limit of the pseudotachyon ones."""
+    for kind in DiscreteKind:
+        luxon = discrete_operator(kind, Species.LUXON, rep)
+        assert np.array_equal(luxon, discrete_operator(kind, Species.PSEUDOTACHYON, rep)), kind
+        assert not luxon.flags.writeable
 
 
 def test_parity_transform_spot(std):
@@ -108,39 +108,38 @@ def test_discrete_residuals_random(rng):
 
 
 def test_pct_equals_four_inversion_pt(std):
-    prod = pct_product(Sector.PSEUDOTACHYONIC, STD)
+    prod = pct_product(Species.PSEUDOTACHYON, STD)
     assert np.linalg.norm(prod - 1j * std.gamma5) <= 1e-14
 
 
 def test_pct_equals_four_inversion_pt_weyl(weyl):
-    prod = pct_product(Sector.PSEUDOTACHYONIC, WEYL)
+    prod = pct_product(Species.PSEUDOTACHYON, WEYL)
     assert np.linalg.norm(prod - 1j * weyl.gamma5) <= 1e-14
 
 
 def test_pct_product_unitary():
-    for sector in Sector:
-        prod = pct_product(sector, STD)
+    for species in Species:
+        prod = pct_product(species, STD)
         assert np.linalg.norm(dagger(prod) @ prod - np.eye(4)) <= 1e-14
 
 
 def test_bradyonic_pct_phase_reported(std):
     """The bradyonic product is the 4-inversion times a measured phase."""
-    phase = pct_phase(Sector.BRADYONIC, STD)
+    phase = pct_phase(Species.BRADYON, STD)
     assert abs(abs(phase) - 1.0) <= 1e-14
-    prod = pct_product(Sector.BRADYONIC, STD)
+    prod = pct_product(Species.BRADYON, STD)
     assert np.linalg.norm(prod - phase * 1j * std.gamma5) <= 1e-14
 
 
 def test_pct_phase_pt_is_unity():
-    assert abs(pct_phase(Sector.PSEUDOTACHYONIC, STD) - 1.0) <= 1e-14
+    assert abs(pct_phase(Species.PSEUDOTACHYON, STD) - 1.0) <= 1e-14
 
 
 def test_parity_invariance_of_hamiltonians(rng):
     """U_P H(-p) U_P^dag = H(p): the energy is a space-inversion scalar."""
     from ptdirac.observables import hamiltonian
-    for species, sector in [(Species.PSEUDOTACHYON, Sector.PSEUDOTACHYONIC),
-                            (Species.BRADYON, Sector.BRADYONIC)]:
-        u_p = discrete_operator(DiscreteKind.PARITY, sector, STD).matrix
+    for species in (Species.PSEUDOTACHYON, Species.BRADYON):
+        u_p = discrete_operator(DiscreteKind.PARITY, species, STD)
         p = rng.normal(size=3)
         h_flip = hamiltonian(species, -p, 1.3, STD)
         h = hamiltonian(species, p, 1.3, STD)

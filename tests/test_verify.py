@@ -102,13 +102,13 @@ def test_nan_in_one_row_of_the_anticommutation_pass_fails(monkeypatch):
 # ------------------------------------------------------------- drawn inputs
 
 SPEC_GROUPS = [("spinors", {}), ("symmetries", {}),
-               ("observables", dict(massive_only=True, modest_shells=True))]
+               ("observables", dict(massive=True))]
 COLUMNS = ("energy_sign", "helicity", "momentum", "k", "mass", "epsilon")
 
 
 def combos(options):
     return [c for c in verify._COMBOS
-            if not (options.get("massive_only") and c[0] is Species.LUXON)]
+            if not (options.get("massive") and c[0] is Species.LUXON)]
 
 
 def assert_row_labels(g, options):
