@@ -75,8 +75,11 @@ def _decimal(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     2**-53.  Where |g| > 2**-98 d1, over 2**5 times the scaling error since
     d1 >= 100 (or y = 0), g has the sign of the exact distance, so
     d = d1 + f + (g > 0) is x correctly rounded, as `%` rounds it (Gay,
-    1990).  The rest, exact ties such as 1.125 at p = 3 and values that close
-    to one, are `slow`, and so is every x with |e| > _EXP_RANGE.
+    1990).  The rest are `slow`, and so is every x with |e| > _EXP_RANGE,
+    except exact ties: where 0 <= s = p-1-e <= 22, 10**s is a double, so
+    ph + pl is y exactly and g = 0 certifies that y = d1 + h, which rounds
+    half to even (1.125 at p = 3 gives 112).  Other ties, such as 1235 at
+    p = 3, and values within the bound of a tie stay `slow`.
     """
     e = np.log10(x, out=np.zeros(x.size), where=x > 0)
     e = np.floor(e, out=e).astype(np.int64)
@@ -102,6 +105,12 @@ def _decimal(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     d = d1.astype(np.int64)
     d += f.astype(np.int64)
     d += g > 0
+    i = np.flatnonzero(slow)
+    if i.size:
+        s = (p - 1) - e[i]
+        i = i[(g[i] == 0.0) & (s >= 0) & (s <= 22)]
+        d[i] += d[i] & 1     # an exact tie: round half to even
+        slow[i] = False
     carry = d == 10 ** p
     d[carry] = 10 ** (p - 1)
     e += carry

@@ -10,7 +10,6 @@ that law at one energy and `dispersion_table` returns its columns over a grid.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -40,6 +39,12 @@ class Species(enum.Enum):
     LUXON = "luxon"
 
 
+def _check_member(name: str, value, kind: type[enum.Enum]) -> None:
+    """Raise ValueError, naming the value, unless it is a member of kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FourVector:
     """Energy-momentum vector (e; px, py, pz) with metric (+, -, -, -)."""
@@ -63,6 +68,111 @@ class FourVector:
         return cls(e, px, py, pz)
 
 
+# `_hypot` maps math.hypot below this many entries, where its array port is
+# not faster: the break-even is about 8e2 to 1e3 entries with numpy 2.4 on
+# x86-64, so verify's 1000-trial groups stay on the per-entry side.
+_HYPOT_MIN_SIZE = 1024
+_HYPOT_BLOCK = 8192
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_DBL_MIN = 2.0 ** -1022
+
+
+def _exact_square(x, hi, lo, z, zz):
+    """z + zz = x*x exactly, into the buffers z and zz (hi and lo are
+    scratch): CPython's ``dl_mul``, Dekker's product of Veltkamp halves
+    without fma, with z = hi*hi + 2 hi*lo rounded."""
+    np.multiply(x, _VELTKAMP, out=hi)
+    np.subtract(hi, x, out=lo)
+    np.subtract(hi, lo, out=hi)    # hi = t - (t - x)
+    np.subtract(x, hi, out=lo)     # lo = x - hi
+    np.multiply(hi, lo, out=zz)
+    np.add(zz, zz, out=zz)         # q = hi*lo + lo*hi, exact
+    np.multiply(hi, hi, out=hi)    # p = hi*hi, exact
+    np.add(hi, zz, out=z)          # z = p + q
+    np.subtract(hi, z, out=hi)
+    np.add(hi, zz, out=hi)
+    np.multiply(lo, lo, out=lo)
+    np.add(hi, lo, out=zz)         # zz = p - z + q + lo*lo
+
+
+def _hypot_block(a, b, out, work, exponent) -> np.ndarray:
+    """CPython's two-argument ``vector_norm`` of the pairs of a and b into
+    out, where the larger entry is a normal float; returns the indices of
+    the other pairs, whose entries of out are not set."""
+    x, hi, lo, z, zz, csum, frac1, frac2 = work
+    np.maximum(a, b, out=x)
+    odd = np.flatnonzero(~((x >= _DBL_MIN) & (x < math.inf)))  # 0, subnormal, inf, NaN
+    np.frexp(x, out=(hi, exponent))
+    np.negative(exponent, out=exponent)
+    np.ldexp(a, exponent, out=x)           # lossless scaling into [0, 1)
+    _exact_square(x, hi, lo, z, frac1)     # frac1 = pr.lo
+    np.add(z, 1.0, out=csum)               # fast_sum(1.0, pr.hi)
+    np.subtract(1.0, csum, out=frac2)
+    np.add(frac2, z, out=frac2)            # frac2 = sm.lo
+    np.ldexp(b, exponent, out=x)
+    _exact_square(x, hi, lo, z, zz)
+    np.add(frac1, zz, out=frac1)
+    np.add(csum, z, out=x)                 # fast_sum(csum, pr.hi)
+    np.subtract(csum, x, out=csum)
+    np.add(csum, z, out=csum)
+    np.add(frac2, csum, out=frac2)
+    csum, x = x, csum
+    np.add(frac1, frac2, out=x)            # h = sqrt(csum - 1 + (frac1 + frac2))
+    np.subtract(csum, 1.0, out=hi)
+    np.add(hi, x, out=x)
+    np.sqrt(x, out=x)
+    _exact_square(x, hi, lo, z, zz)        # dl_mul(-h, h) = -(z + zz)
+    np.subtract(csum, z, out=hi)           # fast_sum(csum, -z)
+    np.subtract(csum, hi, out=csum)
+    np.subtract(csum, z, out=csum)
+    np.add(frac2, csum, out=frac2)
+    np.subtract(frac1, zz, out=frac1)
+    np.subtract(hi, 1.0, out=hi)           # csum - 1 + (frac1 + frac2)
+    np.add(frac1, frac2, out=frac1)
+    np.add(hi, frac1, out=hi)
+    np.add(x, x, out=z)
+    np.divide(hi, z, out=hi)
+    np.add(x, hi, out=x)                   # differential correction
+    np.negative(exponent, out=exponent)
+    np.ldexp(x, exponent, out=out)
+    return odd
+
+
+def _hypot(a, b) -> np.ndarray:
+    """``math.hypot`` of two broadcast arrays of non-negative floats, entry by
+    entry and bit for bit.
+
+    Below `_HYPOT_MIN_SIZE` entries it maps ``math.hypot``.  From there on it
+    runs CPython's two-argument ``vector_norm`` as numpy passes over blocks of
+    `_HYPOT_BLOCK` entries: each pair is scaled by the power of two of its
+    larger entry, squared exactly, summed with the error terms of
+    ``fast_sum`` and given one differential correction.  Pairs whose larger
+    entry is zero, subnormal, infinite or NaN, which CPython treats in
+    branches of their own, are mapped to ``math.hypot``.  No input warns.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    shape, n = a.shape, a.size
+    if n < _HYPOT_MIN_SIZE:
+        return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()),
+                           dtype=float, count=n).reshape(shape)
+    a, b = a.reshape(-1), b.reshape(-1)
+    out = np.empty(n)
+    size = min(n, _HYPOT_BLOCK)
+    work = [np.empty(size) for _ in range(8)]
+    exponent = np.empty(size, dtype=np.intc)
+    with np.errstate(all="ignore"):
+        for start in range(0, n, _HYPOT_BLOCK):
+            stop = min(start + _HYPOT_BLOCK, n)
+            used = stop - start
+            odd = _hypot_block(a[start:stop], b[start:stop], out[start:stop],
+                               [w[:used] for w in work], exponent[:used])
+            for i in (odd + start).tolist():
+                out[i] = math.hypot(a[i], b[i])
+    return out.reshape(shape)
+
+
 def minkowski_dot(a, b):
     """a.b with metric (+, -, -, -), row by row of two arrays whose last axis
     holds (e, px, py, pz)."""
@@ -76,9 +186,9 @@ def energy_from_momentum(species: Species, k, m):
     The pseudotachyon branch is evaluated as sqrt(k - m) * sqrt(k + m), which
     is exact at the transcendent point k = m and avoids the cancellation in
     sqrt(k^2 - m^2) near it; the bradyon branch is ``math.hypot``, entry by
-    entry.  ``k`` and ``m`` are floats, giving a float, or broadcastable
-    arrays, giving one energy per entry; an entry off the shell raises, and
-    the error names the first one.
+    entry, computed by `_hypot`.  ``k`` and ``m`` are floats, giving a float,
+    or broadcastable arrays, giving one energy per entry; an entry off the
+    shell raises, and the error names the first one.
     """
     k, m = np.asarray(k, dtype=float), np.asarray(m, dtype=float)
     if k.shape != m.shape:
@@ -86,8 +196,7 @@ def energy_from_momentum(species: Species, k, m):
     if np.count_nonzero(np.minimum(k, m) < 0):
         raise ValueError("k and m must be non-negative")
     if species is Species.BRADYON:
-        eps = np.fromiter(map(math.hypot, k.ravel().tolist(), m.ravel().tolist()),
-                          dtype=float, count=k.size).reshape(k.shape)
+        eps = _hypot(k, m)
     elif species is Species.LUXON:
         massive = m != 0.0
         if np.count_nonzero(massive):
@@ -154,12 +263,11 @@ def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
     one per energy.
 
     Entry by entry these are the operations of the scalar law: v = eps/h and
-    w = h/eps with h = math.hypot(eps, m) (np.hypot differs from it in the
-    last ulp on some inputs), u = sqrt(eps - m) sqrt(eps + m) / eps, and
+    w = h/eps with h = math.hypot(eps, m), computed by `_hypot` (np.hypot
+    differs from it in the last ulp on some inputs), u = sqrt(eps - m) sqrt(eps + m) / eps, and
     u = v = w = 1 at m = 0.  Overflow leaves inf or NaN in a present entry.
     """
-    ms = itertools.repeat(m) if np.ndim(m) == 0 else np.asarray(m).tolist()
-    h = np.fromiter(map(math.hypot, eps.tolist(), ms), dtype=float, count=eps.size)
+    h = _hypot(eps, m)
     has_u = ~((eps < m) | (eps == 0.0))
     has_w = eps != 0.0
     massless = m == 0.0

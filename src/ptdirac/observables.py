@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import Representation, contract, gamma_set
-from .kinematics import FourVector, Species, dual_momentum, minkowski_dot
+from .kinematics import FourVector, Species, _check_member, dual_momentum, minkowski_dot
 from .spinors import PlaneWaveSpec, amplitude
 
 # w^dag w below which the subnormal rounding of one product of entries, up to
@@ -61,8 +61,10 @@ def hamiltonian(species: Species, momentum, mass,
     H is only gamma^5 pseudo-hermitian, g5 H g5 = H^dag, yet its spectrum
     +-sqrt(k^2 - m^2) is real on the physical shell |p| >= m.  In both cases
     H^2 is the squared shell energy times the identity.  ``momentum`` may be
-    an (n, 3) array with ``mass`` (n,), giving one hamiltonian per row.
+    an (n, 3) array with ``mass`` (n,), giving one hamiltonian per row.  A
+    ``species`` that is not a `Species` raises ValueError.
     """
+    _check_member("species", species, Species)
     gs = gamma_set(rep)
     h = contract(np.asarray(momentum, dtype=float), gs.alpha)
     term = gs.gammas[0] if species is Species.BRADYON else gs.alpha5

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .clifford import Representation, gamma_set, representation_change, slash
-from .kinematics import Species, ZeroMomentum, energy_from_momentum
+from .kinematics import Species, ZeroMomentum, _check_member, energy_from_momentum
 
 
 class TranscendentDivision(ZeroDivisionError, ValueError):
@@ -176,9 +176,8 @@ class SpecGroup:
         (`norm_convention`) beyond the floating-point range raises
         ValueError.
         """
-        for name, value, kind in (("species", species, Species), ("rep", rep, Representation)):
-            if not isinstance(value, kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        _check_member("species", species, Species)
+        _check_member("rep", rep, Representation)
         p, m = np.asarray(momentum, dtype=float), np.asarray(mass, dtype=float)
         # np.count_nonzero is the cheapest reduction on one-row groups
         if p.ndim != 2 or p.shape[1] != 3 or np.count_nonzero(np.isfinite(p)) != p.size:

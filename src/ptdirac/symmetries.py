@@ -27,7 +27,7 @@ import functools
 import numpy as np
 
 from .clifford import METRIC, PAIRS, Representation, contract, dagger, gamma_set
-from .kinematics import Species, _boost_arrays, _cosh_sinh, _unit_axis
+from .kinematics import Species, _boost_arrays, _check_member, _cosh_sinh, _unit_axis
 from .spinors import _EYE4, PlaneWaveSpec, _memoized, amplitude, relative_residual, wave_operator
 
 
@@ -49,8 +49,10 @@ def discrete_operator(kind: DiscreteKind, species: Species, rep: Representation)
 
     Luxons take the pseudotachyon matrices (their amplitudes are that
     family's m -> 0 limit).  Built once per (kind, species, basis); the
-    matrix is read-only.
+    matrix is read-only.  A ``species`` that is not a `Species` raises
+    ValueError, which leaves nothing in the cache.
     """
+    _check_member("species", species, Species)
     gs = gamma_set(rep)
     g = gs.gammas
     extra = np.eye(4) if species is Species.BRADYON else gs.gamma5

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptdirac import cli
+from ptdirac import cli, kinematics
 
 GOLDEN = Path(__file__).parent / "golden" / "dispersion_m3.csv"
+# rows enough that the speed law's hypot runs as array passes over two blocks
+HYPOT_ROWS = kinematics._HYPOT_BLOCK + 3
 
 
 def run_proc(*args, env_extra=None):
@@ -139,8 +141,13 @@ def test_dispersion_bytes_match_the_row_reference(m, x, steps, precision):
     (1e-7, 0.0, 1e-3, 301, 9),                       # fixed/scientific switch at 1e-4
     (1e290, 0.0, 3e290, 40, 12),                     # exponents beyond the scaled range
     (1e17, 0.0, 3e17, 61, 17),                       # p = 17 with eps crossing 10^17
+    # the same through the array hypot, past its size switch and a block
+    (0.0, 0.0, 5e-324, HYPOT_ROWS, 9),
+    (1e290, 0.0, 3e290, HYPOT_ROWS, 12),
+    (1e17, 0.0, 3e17, HYPOT_ROWS, 17),
 ], ids=["minus-zero", "zero-rows", "eps-min-at-m", "chunks", "sci-switch", "scale-1e290",
-        "p17-crossing-1e17"])
+        "p17-crossing-1e17", "zero-rows-array-hypot", "scale-1e290-array-hypot",
+        "p17-crossing-1e17-array-hypot"])
 def test_dispersion_edge_bytes_to_stdout_and_file(tmp_path, m, eps_min, eps_max, steps,
                                                   precision):
     argv = ["dispersion", "--mass", repr(m), "--eps-min", repr(eps_min), "--eps-max",
@@ -157,9 +164,12 @@ OUT_OF_RANGE = [
     ["--mass", "1e308", "--eps-max", "1e308", "--steps", "2"],     # u = nan
     ["--mass", "1e308", "--eps-max", "1.7e308", "--steps", "4"],   # u = w = inf
 ]
+# the same tables with enough rows for the array hypot
+OUT_OF_RANGE += [args[:-1] + ["5000"] for args in OUT_OF_RANGE]
+OUT_OF_RANGE_IDS = ["w-inf", "u-nan", "u-w-inf", "w-inf-5000", "u-nan-5000", "u-w-inf-5000"]
 
 
-@pytest.mark.parametrize("args", OUT_OF_RANGE, ids=["w-inf", "u-nan", "u-w-inf"])
+@pytest.mark.parametrize("args", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
 def test_dispersion_out_of_range_is_usage_error(args):
     proc = run_proc("dispersion", *args, env_extra={"PYTHONWARNINGS": "error"})
     assert proc.returncode == 2
@@ -168,7 +178,7 @@ def test_dispersion_out_of_range_is_usage_error(args):
     assert b"out of floating-point range" in proc.stderr
 
 
-@pytest.mark.parametrize("args", OUT_OF_RANGE, ids=["w-inf", "u-nan", "u-w-inf"])
+@pytest.mark.parametrize("args", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
 def test_dispersion_out_of_range_does_not_open_the_output(tmp_path, capsys, args):
     target = tmp_path / "table.csv"
     code, out, err = run_main(capsys, "dispersion", *args, "--out", str(target))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptdirac import cli, gformat
+from test_cli import reference_csv
 
 
 def formatted(x: float, p: int) -> tuple[str, int]:
@@ -43,13 +44,38 @@ def test_format_edge_values(p):
 
 
 @pytest.mark.parametrize("x, p", [
-    (1.125, 3), (2.375, 3), (0.1875, 3), (2.0 ** -10, 6), (2.0 ** -20, 13), (2.0 ** -24, 16),
-    (5e-324, 9), (sys.float_info.max, 17), (1e-300, 9), (1e280, 12),
+    (2.0 ** -24, 16), (1235.0, 3), (5e-324, 9), (sys.float_info.max, 17), (1e-300, 9),
+    (1e280, 12),
 ])
-def test_ties_and_extreme_exponents_go_through_percent(x, p):
-    """Exact ties (x 10^(p-1-e) ends in .5) and |e| > 270."""
+def test_uncertified_ties_and_extreme_exponents_go_through_percent(x, p):
+    """Exact ties that _decimal cannot certify, where s = p-1-e is above 22
+    (2^-24 at p = 16) or negative (1235 at p = 3), and |e| > 270."""
     text, fallbacks = formatted(x, p)
     assert (text, fallbacks) == (f"{x:.{p}g}", 1)
+
+
+@pytest.mark.parametrize("x, p", [
+    (1.125, 3), (2.375, 3), (0.1875, 3), (999.5, 3), (2.0 ** -10, 6), (2.0 ** -20, 13),
+    (12345678.5, 9), (0.5, 3),
+])
+def test_certified_ties_round_half_to_even_without_percent(x, p):
+    """x 10^s ends in .5 with 0 <= s <= 22, where 10^s is exact: 1.125 gives
+    1.12, 2.375 gives 2.38, and 999.5 carries to 1e+03."""
+    text, fallbacks = formatted(x, p)
+    assert (text, fallbacks) == (f"{x:.{p}g}", 0)
+
+
+def test_tie_heavy_table_sends_few_values_to_percent(tmp_path):
+    """A massless table on the grid k/8 prints many exact ties at p = 3: only
+    1005 and 1015, ties that _decimal cannot certify (s = -1), go to `%`, and
+    the bytes are the row-by-row reference."""
+    target = tmp_path / "table.csv"
+    argv = ["dispersion", "--mass", "0", "--eps-max", "1024", "--steps", "8193",
+            "--precision", "3", "--out", str(target)]
+    with mock.patch.object(gformat, "_fmt", wraps=cli._fmt) as fallback:
+        assert cli.main(argv) == 0
+    assert fallback.call_count == 2
+    assert target.read_text() == reference_csv(0.0, 0.0, 1024.0, 8193, 3)
 
 
 @pytest.mark.parametrize("x, p", [(0.0, 9), (1.5, 3), (0.8, 9), (1.126, 3), (123.456, 9),

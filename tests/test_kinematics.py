@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptdirac.kinematics import (
+    _HYPOT_BLOCK,
+    _HYPOT_MIN_SIZE,
     FourVector,
     MassNotZero,
     NonPhysicalMomentum,
     Species,
     ZeroMomentum,
     _boost_arrays,
+    _hypot,
     boost,
     dispersion_table,
     dual_momentum,
@@ -209,6 +213,60 @@ def test_shell_roundtrip_bradyon(m, ratio):
     k_back = math.sqrt(max(eps - m, 0.0)) * math.sqrt(eps + m)
     assert abs(k_back - k) / k <= 1e-12
 
+
+
+def hypot_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs with log-uniform magnitudes from 1e-320 to 1.7e308, and among
+    them zeros, subnormals, equal pairs and pairs whose hypot overflows."""
+    rng = np.random.default_rng(seed)
+    a, b = np.exp(rng.uniform(math.log(1e-320), math.log(1.7e308), size=(2, n)))
+    special = [0.0, 5e-324, 2.0 ** -1074 * 3, 1e-310, 2.0 ** -1024, 2.0 ** -1022,
+               np.nextafter(2.0 ** -1022, 0.0), 1.0, 3.0, 1e308, sys.float_info.max]
+    at = rng.choice(n, size=(5, n // 16), replace=False)
+    a[at[0]], b[at[0]] = rng.choice(special, size=(2, n // 16))
+    b[at[1]] = a[at[1]]                                           # equal pairs
+    a[at[2]] = rng.uniform(0.71, 1.0, n // 16) * sys.float_info.max  # overflows to inf
+    b[at[2]] = rng.uniform(0.71, 1.0, n // 16) * sys.float_info.max
+    a[at[3]] = 0.0
+    b[at[3][:4]] = 0.0                                            # hypot 0
+    b[at[4]] = rng.uniform(0.0, 2.0 ** -1022, n // 16)           # subnormal
+    return a, b
+
+
+@pytest.mark.parametrize("n", [_HYPOT_MIN_SIZE - 1, _HYPOT_MIN_SIZE,
+                               3 * _HYPOT_BLOCK + 5, 200_000])
+def test_hypot_is_math_hypot_bit_for_bit(n):
+    """Both sides of the size switch, with no warning on any input."""
+    a, b = hypot_pairs(n, seed=n)
+    expected = np.array([math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    assert np.isinf(expected).any() and (expected == 0.0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _hypot(a, b)
+        swapped = _hypot(b, a)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    expected = np.array([math.hypot(y, x) for x, y in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(swapped.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [0.0, 3.0, 1e-310, 1e290])
+def test_hypot_broadcasts_one_mass_and_keeps_the_shape(m):
+    eps = np.linspace(0.0, 7.0 * max(m, 1.0), 4 * _HYPOT_MIN_SIZE)
+    expected = np.array([math.hypot(x, m) for x in eps.tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat, grid = _hypot(eps, m), _hypot(eps.reshape(64, -1), np.full((64, 1), m))
+    assert np.array_equal(flat.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(grid.ravel().view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_bradyon_energy_of_a_large_array_is_math_hypot():
+    k = np.geomspace(1e-200, 1e200, 3 * _HYPOT_MIN_SIZE).reshape(3, -1)
+    eps = energy_from_momentum(Species.BRADYON, k, 2.5)
+    assert eps.shape == k.shape
+    assert eps.ravel().tolist() == [math.hypot(x, 2.5) for x in k.ravel().tolist()]
 
 def test_boost_zero_rapidity_identity():
     p = FourVector(4.0, 1.0, -2.0, 5.0)

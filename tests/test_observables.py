@@ -233,3 +233,13 @@ def test_four_vector_closed_forms_at_tiny_momentum():
     r2 = np.sqrt(2.0)
     assert np.allclose(vbar, [r2, 1.0, 0.0, 0.0], rtol=1e-15, atol=0.0)
     assert np.allclose(sbar, [1.0, r2, 0.0, 0.0], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("species", ["bradyon", "pseudotachyon", None])
+def test_hamiltonian_rejects_a_species_outside_the_enum(species):
+    """hamiltonian("bradyon", ...) must not return the pseudotachyon one."""
+    with pytest.raises(ValueError, match=f"species must be a Species, got {species!r}"):
+        hamiltonian(species, (0, 0, 1.0), 2.0)
+    with pytest.raises(ValueError, match=f"species must be a Species, got {species!r}"):
+        hamiltonian(species, [(0, 0, 1.0), (0, 1.0, 0)], [2.0, 3.0], WEYL)

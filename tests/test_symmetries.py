@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -290,3 +291,21 @@ def test_symmetry_checks_deterministic():
 def test_symmetry_checks_reject_zero_trials():
     with pytest.raises(ValueError):
         verify.symmetry_checks(seed=1, trials=0, tol=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("species", ["bradyon", "pseudotachyon", None, 0])
+def test_operators_reject_a_species_outside_the_enum(species):
+    """A species given by name must not fall through to the tachyonic family,
+    and the refusal must leave nothing in the cache."""
+    bad = rf"species must be a Species, got {re.escape(repr(species))}"
+    before = discrete_operator.cache_info().currsize
+    for kind in DiscreteKind:
+        for rep in (STD, WEYL):
+            with pytest.raises(ValueError, match=bad):
+                discrete_operator(kind, species, rep)
+    for call in (pct_product, pct_phase):
+        with pytest.raises(ValueError, match=bad):
+            call(species, STD)
+    assert discrete_operator.cache_info().currsize == before
+    assert pct_phase(Species.BRADYON, STD) == pytest.approx(-1.0)
