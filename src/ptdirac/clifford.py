@@ -114,12 +114,38 @@ def _four_components(p) -> np.ndarray:
 
 def contract(coeffs, stack: np.ndarray) -> np.ndarray:
     """sum_a coeffs[..., a] stack[a]: real coefficients (..., k) against a
-    stack (k, 4, 4) of matrices, as one matmul against the stack flattened to
-    (k, 16).  The result has the leading axes of ``coeffs`` followed by (4, 4).
+    complex stack (k, 4, 4) of matrices.  The result has the leading axes of
+    ``coeffs`` followed by (4, 4); complex coefficients raise TypeError.
+
+    One real matmul: the coefficients flattened to (-1, k) times the stack's
+    float view (k, 32), real and imaginary parts interleaved, viewed back as
+    complex.  Every stack this package contracts has real and imaginary
+    entries in {0, +-1} with at most two nonzero terms per entry and part, so
+    every product is exact and every sum rounds once, in any order: the
+    result is the exact sum correctly rounded under every BLAS kernel, and a
+    real sum that overflows leaves the imaginary part alone.  The builders
+    that add an identity or mass term (`spinors.wave_operator`,
+    `observables.hamiltonian`, the boost and generator maps of `symmetries`)
+    pass it as one more stack row with its coefficient.
     """
     c = np.asarray(coeffs)
-    flat = c.reshape(-1, c.shape[-1]) @ stack.reshape(len(stack), 16)
-    return flat.reshape(c.shape[:-1] + (4, 4))
+    if c.dtype.kind == "c":
+        raise TypeError("contract takes real coefficients")
+    flat = c.reshape(-1, c.shape[-1]) @ stack.reshape(len(stack), 16).view(float)
+    return flat.view(complex).reshape(c.shape[:-1] + (4, 4))
+
+
+def _with_term(v: np.ndarray, t) -> np.ndarray:
+    """Coefficients (..., k + 1): the rows of ``v`` (..., k) with the scalars
+    ``t`` appended, the leading axes of both broadcast, in one buffer."""
+    t = np.asarray(t)
+    rows = v.shape[:-1]
+    if rows != t.shape:
+        rows = np.broadcast_shapes(rows, t.shape)
+    c = np.empty(rows + (v.shape[-1] + 1,))
+    c[..., :-1] = v
+    c[..., -1] = t
+    return c
 
 
 def slash(gs: GammaSet, p) -> np.ndarray:

@@ -18,11 +18,12 @@ and in both cases vbar^2 = 1, sbar^2 = -1.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Representation, contract, gamma_set
+from .clifford import Representation, _frozen, _with_term, contract, gamma_set
 from .kinematics import FourVector, Species, _check_member, dual_momentum, minkowski_dot
 from .spinors import PlaneWaveSpec, amplitude
 
@@ -52,6 +53,16 @@ class ExpectationReport:
     constraint_residuals: dict[str, float]
 
 
+@functools.lru_cache(maxsize=None)
+def _hamiltonian_stack(rep: Representation, bradyon: bool) -> np.ndarray:
+    """alpha^1, alpha^2, alpha^3 and the mass term (gamma^0 for bradyons,
+    alpha^5 for tachyonic species), read-only (4, 4, 4): against the
+    coefficients (p, m) it contracts to `hamiltonian`."""
+    gs = gamma_set(rep)
+    term = gs.gammas[0] if bradyon else gs.alpha5
+    return _frozen(np.concatenate([gs.alpha, term[None]]))
+
+
 def hamiltonian(species: Species, momentum, mass,
                 rep: Representation = Representation.STANDARD) -> np.ndarray:
     """Momentum-space hamiltonian alpha.p plus the species mass term.
@@ -65,10 +76,8 @@ def hamiltonian(species: Species, momentum, mass,
     ``species`` that is not a `Species` raises ValueError.
     """
     _check_member("species", species, Species)
-    gs = gamma_set(rep)
-    h = contract(np.asarray(momentum, dtype=float), gs.alpha)
-    term = gs.gammas[0] if species is Species.BRADYON else gs.alpha5
-    return h + np.asarray(mass, dtype=float)[..., None, None] * term
+    return contract(_with_term(np.asarray(momentum, dtype=float), mass),
+                    _hamiltonian_stack(rep, species is Species.BRADYON))
 
 
 def energy_eigencheck(spec, w=None, h=None):

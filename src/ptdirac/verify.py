@@ -147,20 +147,13 @@ def random_spec(seed: int, group: str, trials: int, *, massive: bool = False) ->
 
 # ---------------------------------------------------------------- clifford
 
-def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    _check_trials(trials)
-    reps = (Representation.STANDARD, Representation.WEYL)
-    u_mu, u_nu = _uniforms(seed, "clifford.anticommutation", _INPUTS, trials, 2)
-    mu, nu = (4.0 * u_mu).astype(int), (4.0 * u_nu).astype(int)
-    stacks = np.stack([gamma_set(rep).gammas for rep in reps])
-    # a @ b + b @ a of the 32 (basis, mu, nu), picked per trial
-    ab = stacks[:, :, None] @ stacks[:, None]
-    pairs = ab + np.swapaxes(ab, 1, 2)
-    anti = [np.linalg.norm(pairs[np.arange(trials) % 2, mu, nu]
-                           - 2.0 * METRIC[mu, nu][:, None, None] * np.eye(4), axis=(1, 2))]
-
+@functools.lru_cache(maxsize=None)
+def _clifford_identities() -> tuple[tuple[float, ...], ...]:
+    """The residuals of the clifford checks that use no draw: hermiticity,
+    gamma^5 product, (alpha^5)^2, Weyl map and spin block, computed once,
+    since `gamma_set` returns the same read-only tables on every call."""
     herm, g5p, a5sq = [], [], []
-    for rep in reps:
+    for rep in Representation:
         gs = gamma_set(rep)
         herm.append(np.linalg.norm(dagger(gs.gammas[0]) - gs.gammas[0]))
         for k in (1, 2, 3):
@@ -184,6 +177,22 @@ def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         block.append(np.abs(gstd.sigma_spin[i] - expected).max())
         block.append(np.linalg.norm(gstd.sigma_spin[i] - gstd.alpha[i] @ gstd.gamma5))
 
+    return tuple(map(tuple, (herm, g5p, a5sq, wmap, block)))
+
+
+def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
+    _check_trials(trials)
+    reps = (Representation.STANDARD, Representation.WEYL)
+    u_mu, u_nu = _uniforms(seed, "clifford.anticommutation", _INPUTS, trials, 2)
+    mu, nu = (4.0 * u_mu).astype(int), (4.0 * u_nu).astype(int)
+    stacks = np.stack([gamma_set(rep).gammas for rep in reps])
+    # a @ b + b @ a of the 32 (basis, mu, nu), picked per trial
+    ab = stacks[:, :, None] @ stacks[:, None]
+    pairs = ab + np.swapaxes(ab, 1, 2)
+    anti = [np.linalg.norm(pairs[np.arange(trials) % 2, mu, nu]
+                           - 2.0 * METRIC[mu, nu][:, None, None] * np.eye(4), axis=(1, 2))]
+
+    herm, g5p, a5sq, wmap, block = _clifford_identities()
     return [
         _result("clifford.anticommutation", anti, tol),
         _result("clifford.hermiticity", herm, tol),
@@ -377,8 +386,11 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 
 # -------------------------------------------------------------- symmetries
 
-def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    _check_trials(trials)
+@functools.lru_cache(maxsize=None)
+def _symmetry_identities() -> tuple[tuple[float, ...], ...]:
+    """The residuals of the symmetry checks that use no draw, unitarity and
+    the PCT product, computed once, since `discrete_operator` returns the
+    same read-only matrices on every call."""
     unit, pct = [], []
     pt, brad = Species.PSEUDOTACHYON, Species.BRADYON
     inversion = symmetries.DiscreteKind.FOUR_INVERSION
@@ -392,6 +404,12 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         phase = symmetries.pct_phase(brad, rep)
         pct.append(np.linalg.norm(symmetries.pct_product(brad, rep)
                                   - phase * symmetries.discrete_operator(inversion, brad, rep)))
+    return tuple(unit), tuple(pct)
+
+
+def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
+    _check_trials(trials)
+    unit, pct = _symmetry_identities()
 
     u_z, u_phi, u_zeta, u_zeta2, *u_gen = _uniforms(seed, "symmetries", _INPUTS, trials, 20)
     axes = _directions(u_z, u_phi)
@@ -422,6 +440,7 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     ]
 
 
+@functools.lru_cache(maxsize=None)
 def symmetry_notes() -> tuple[str, ...]:
     phase = symmetries.pct_phase(Species.BRADYON, Representation.STANDARD)
     return (f"bradyonic PCT phase relative to 4-inversion: "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ptdirac import observables, spinors, symmetries
 from ptdirac.clifford import (
     METRIC,
     PAIRS,
@@ -115,18 +116,47 @@ def test_slash_linear_in_momentum(std, rng):
 
 
 STACKS = ("gammas", "alpha", "sigma_spin", "bilinear_stack", "sigma_pairs")
+# The stacks the builders fold an identity or mass term into, per basis.
+FOLDED = {
+    "wave-bradyon": lambda rep: spinors._wave_stack(rep, True),
+    "wave-tachyonic": lambda rep: spinors._wave_stack(rep, False),
+    "hamiltonian-bradyon": lambda rep: observables._hamiltonian_stack(rep, True),
+    "hamiltonian-tachyonic": lambda rep: observables._hamiltonian_stack(rep, False),
+    "boost": lambda rep: symmetries._boost_stack(rep),
+    "generator": lambda rep: symmetries._generator_stack(rep),
+}
+# zeros of both signs, subnormals, and magnitudes whose sums overflow
+EDGE_COEFFS = (0.0, -0.0, 5e-324, 1e-310, 1e300, -1e300, 1.7e308, -1.7e308)
 
 
-@pytest.mark.parametrize("name", STACKS)
+def stack_of(rep, name):
+    return getattr(gamma_set(rep), name) if name in STACKS else FOLDED[name](rep)
+
+
+@pytest.mark.parametrize("name", STACKS + tuple(FOLDED))
 @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
 def test_contract_equals_einsum_bit_for_bit(rep, name):
-    stack = getattr(gamma_set(rep), name)
+    stack = stack_of(rep, name)
     rng = np.random.default_rng(23)
-    coeffs = rng.normal(size=(2000, len(stack))) * 10.0 ** rng.uniform(-6, 6, size=(2000, 1))
-    got = contract(coeffs, stack)
-    assert got.shape == (2000, 4, 4)
-    assert got.tobytes() == np.einsum("...a,aij->...ij", coeffs, stack).tobytes()
-    assert contract(coeffs.reshape(40, 50, -1), stack).shape == (40, 50, 4, 4)
+    k = len(stack)
+    coeffs = np.concatenate([
+        rng.normal(size=(2000, k)) * 10.0 ** rng.uniform(-6, 6, size=(2000, 1)),
+        rng.choice(EDGE_COEFFS, size=(2000, k))])
+    with np.errstate(over="ignore"):
+        got = contract(coeffs, stack)
+        expected = np.einsum("...a,aij->...ij", coeffs, stack)
+    assert got.shape == (4000, 4, 4)
+    assert got.tobytes() == expected.tobytes()
+    assert contract(coeffs[:2000].reshape(40, 50, -1), stack).shape == (40, 50, 4, 4)
+
+
+def test_an_overflowing_real_sum_keeps_its_imaginary_part():
+    """The real part of one entry overflows; the imaginary part stays 0, as
+    in the definition, not inf - inf = nan."""
+    with np.errstate(over="ignore"):
+        m = contract([[1.7e308, 0, 0, -1.7e308]], gamma_set(Representation.WEYL).gammas)
+    assert m[0, 0, 2] == complex(np.inf, 0.0)
+    assert not np.isnan(m.view(float)).any()
 
 
 @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)

@@ -99,6 +99,28 @@ def test_nan_in_one_row_of_the_anticommutation_pass_fails(monkeypatch):
     assert not verify.run_all(SEED, TRIALS, TOL).passed
 
 
+# ------------------------------------------------ residuals that use no draw
+
+CACHED = ("_clifford_identities", "_symmetry_identities", "symmetry_notes")
+
+
+def test_two_runs_in_one_process_give_equal_reports():
+    first = verify.run_all(SEED, TRIALS, TOL)
+    assert verify.run_all(SEED, TRIALS, TOL) == first
+    assert verify.format_report(verify.run_all(SEED, TRIALS, TOL)) == verify.format_report(first)
+
+
+@pytest.mark.parametrize("name", CACHED)
+def test_draw_independent_residuals_are_computed_once(name):
+    cached = getattr(verify, name)
+    verify.run_all(SEED, TRIALS, TOL)
+    verify.run_all(SEED + 1, 3, TOL)
+    result = cached()
+    assert isinstance(result, tuple)
+    assert result == cached.__wrapped__()
+    assert cached.cache_info().misses == 1
+
+
 # ------------------------------------------------------------- drawn inputs
 
 SPEC_GROUPS = [("spinors", {}), ("symmetries", {}),
