@@ -293,7 +293,8 @@ def _unit_axis(axis) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     if n.shape[-1:] != (3,):
         raise ValueError("axis must be a 3-vector")
-    norm = np.sqrt(np.add.reduce(n * n, axis=-1))
+    with np.errstate(over="ignore"):  # a huge axis squares to inf, not unit either
+        norm = np.sqrt(np.add.reduce(n * n, axis=-1))
     unit = abs(norm - 1.0) <= 1e-9  # False for a NaN norm too
     if np.count_nonzero(unit) != unit.size:
         worst = np.ravel(norm)[np.argmin(np.ravel(unit))]

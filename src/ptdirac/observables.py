@@ -135,10 +135,14 @@ def mean_velocity(spec, b=None) -> np.ndarray:
 
 def mean_four_vectors(spec, b: np.ndarray, j) -> tuple[np.ndarray, np.ndarray]:
     """(vbar, sbar) = (wbar gamma^mu w, wbar gamma^mu gamma^5 w) / 2m from the
-    `bilinears` (b, j) of a spec, or of each spec of a group."""
+    `bilinears` (b, j) of a spec, or of each spec of a group; ValueError if they overflow."""
     _require_massive(spec)
     two_m = np.ldexp(np.asarray(spec.mass), 1 - 2 * j)[..., None]
-    return b[..., 0:4] / two_m, b[..., 4:8] / two_m
+    with np.errstate(over="ignore"):
+        vs = b / two_m
+    if np.count_nonzero(np.isinf(vs)):  # w^dag w bounds every bilinear: vbar^0 overflows
+        raise ValueError("mean four-velocity out of floating-point range: w^dag w / 2m overflows")
+    return vs[..., 0:4], vs[..., 4:8]
 
 
 def mean_four_velocity(spec: PlaneWaveSpec) -> FourVector:

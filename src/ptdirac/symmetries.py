@@ -215,11 +215,8 @@ def first_order_covariance_residual(delta_omega,
     gs = gamma_set(rep)
     s = lorentz_generator(d, rep)
     a = np.eye(4) + METRIC @ d  # a[mu, nu] = delta + domega_mu^nu
-    worst = 0.0
-    for nu in range(4):
-        lhs = sum(gs.gammas[mu] * a[mu, nu] for mu in range(4)) @ s
-        worst = max(worst, float(np.linalg.norm(lhs - s @ gs.gammas[nu])))
-    return worst
+    lhs = contract(a.T, gs.gammas) @ s  # row nu: gamma^mu a[mu, nu] S
+    return float(np.linalg.norm(lhs - s @ gs.gammas, axis=(1, 2)).max())
 
 
 @functools.lru_cache(maxsize=None)

@@ -476,6 +476,23 @@ def test_transform_boost_overflow_is_usage_error(capsys):
     assert "OverflowError" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_boost_axis_is_rejected_without_a_warning(capsys):
+    """|axis|^2 overflows; the axis check still reports it and warns nothing."""
+    assert run_main(capsys, "transform", "--op", "boost", "--rapidity", "1",
+                    "--axis", "1e200,0,0", *SPEC_ARGS) == (
+        2, "", "error: axis must be a unit vector, |axis| = inf\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_mean_four_velocity_is_usage_error(capsys):
+    """vbar = p/m = 1e400 leaves the floating-point range."""
+    assert run_main(capsys, "expect", "--species", "bradyon", "--momentum", "1e200,0,0",
+                    "--mass", "1e-200") == (
+        2, "", "error: mean four-velocity out of floating-point range: w^dag w / 2m "
+               "overflows\n")
+
+
 def test_dispersion_steps_cap_checked_before_the_table(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the table was built")

@@ -220,3 +220,13 @@ def test_boost_errors_keep_their_messages(capsys):
                  "--op=boost", "--rapidity=800"])
     assert code == 2
     assert "cosh(800.0)" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_huge_axis_is_rejected_without_a_warning():
+    """|axis|^2 overflows to inf, which the one shared axis check rejects."""
+    spec = fresh(SPECS[0])
+    for boost in (lambda axis: symmetries.apply_boost(spec, axis, 0.7),
+                  lambda axis: symmetries.lorentz_boost_spinor(axis, 0.7)):
+        with pytest.raises(ValueError, match=r"axis must be a unit vector, \|axis\| = inf"):
+            boost((1e200, 0.0, 0.0))

@@ -81,22 +81,38 @@ def test_nan_in_one_row_of_the_dual_momentum_pass_fails(monkeypatch):
     assert not verify.run_all(SEED, TRIALS, TOL).passed
 
 
-def test_nan_in_one_row_of_the_anticommutation_pass_fails(monkeypatch):
-    real = verify.METRIC
+@pytest.fixture
+def fresh_clifford_tables():
+    """Empties the cache of the clifford residuals before and after a test
+    that patches a table they read."""
+    verify._clifford_identities.cache_clear()
+    yield
+    verify._clifford_identities.cache_clear()
 
-    class NanInRow5:
-        """The metric, except that the entries picked for row 5 read NaN."""
 
-        def __getitem__(self, index):
-            entries = real[index].copy()
-            entries[5] = math.nan
-            return entries
+def metric_with_nan(mu, nu):
+    metric = verify.METRIC.copy()
+    metric[mu, nu] = math.nan
+    return metric
 
-    monkeypatch.setattr(verify, "METRIC", NanInRow5())
+
+def test_nan_in_one_entry_of_the_anticommutation_table_fails(monkeypatch,
+                                                             fresh_clifford_tables):
+    monkeypatch.setattr(verify, "METRIC", metric_with_nan(2, 1))
     check = by_name(verify.clifford_checks(SEED, TRIALS, TOL))["clifford.anticommutation"]
     assert math.isnan(check.max_residual)
     assert not check.passed
     assert not verify.run_all(SEED, TRIALS, TOL).passed
+
+
+@pytest.mark.parametrize("mu,nu", [(mu, nu) for mu in range(4) for nu in range(4)])
+def test_one_trial_checks_every_anticommutator(monkeypatch, fresh_clifford_tables, mu, nu):
+    """The anticommutation check covers all (basis, mu, nu) at any number of
+    trials, so a NaN at any metric entry fails it even at one trial."""
+    monkeypatch.setattr(verify, "METRIC", metric_with_nan(mu, nu))
+    check = by_name(verify.clifford_checks(SEED, 1, TOL))["clifford.anticommutation"]
+    assert math.isnan(check.max_residual)
+    assert not check.passed
 
 
 # ------------------------------------------------ residuals that use no draw
@@ -171,7 +187,7 @@ def test_other_drawn_inputs_are_prefix_stable(monkeypatch):
     monkeypatch.setattr(verify, "_uniforms", recording)
     verify.run_all(SEED, 10, TOL)
     verify.run_all(SEED, 1000, TOL)
-    assert len(blocks[10]) == len(blocks[1000]) == 7
+    assert len(blocks[10]) == len(blocks[1000]) == 6
     for (key, few), (key_many, many) in zip(blocks[10], blocks[1000]):
         assert key == key_many
         assert np.array_equal(few, many[:, :10])
