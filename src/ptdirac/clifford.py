@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +49,20 @@ def _blocks(a, b, c, d) -> np.ndarray:
     return _frozen(np.concatenate([np.concatenate([a, b], 1), np.concatenate([c, d], 1)]))
 
 
-@dataclass(frozen=True)
-class GammaSet:
+class GammaSet(NamedTuple):
     """The four gamma matrices of one representation plus derived members.
 
     ``gammas`` stacks gamma^0..gamma^3, upper index, shape (4, 4, 4); lowering
     is by the diagonal metric.  ``alpha`` stacks alpha^1..alpha^3 and
     ``sigma_spin`` the three components of the 4x4 spin operator
     Sigma = alpha gamma^5, block-diagonal Pauli matrices in both
-    representations, shape (3, 4, 4) each.  Indexing a stack gives one
-    matrix, and every stack is read-only.
+    representations, shape (3, 4, 4) each.  ``bilinear_stack`` holds
+    gamma^0 gamma^mu then gamma^0 gamma^mu gamma^5, shape (8, 4, 4): w^dag B w
+    over it gives wbar gamma^mu w and wbar gamma^mu gamma^5 w, and its first
+    four are 1, alpha^1, alpha^2, alpha^3.  ``sigma_pairs`` holds the six
+    sigma_{mu nu} = (i/2)[gamma_mu, gamma_nu] with mu < nu, in the order of
+    PAIRS, shape (6, 4, 4).  Indexing a stack gives one matrix, and every
+    stack is read-only.
     """
 
     rep: Representation
@@ -67,24 +71,8 @@ class GammaSet:
     alpha: np.ndarray
     alpha5: np.ndarray
     sigma_spin: np.ndarray
-
-    @functools.cached_property
-    def bilinear_stack(self) -> np.ndarray:
-        """gamma^0 gamma^mu then gamma^0 gamma^mu gamma^5, shape (8, 4, 4).
-
-        w^dag B w over these gives wbar gamma^mu w and wbar gamma^mu gamma^5 w;
-        the first four are 1, alpha^1, alpha^2, alpha^3.
-        """
-        g0_g = self.gammas[0] @ self.gammas
-        return _frozen(np.concatenate([g0_g, g0_g @ self.gamma5]))
-
-    @functools.cached_property
-    def sigma_pairs(self) -> np.ndarray:
-        """The six sigma_{mu nu} = (i/2)[gamma_mu, gamma_nu] with mu < nu, in the
-        order of PAIRS, shape (6, 4, 4)."""
-        lowered = METRIC.diagonal()[:, None, None] * self.gammas
-        gm, gn = lowered[np.array(PAIRS).T]
-        return _frozen(0.5j * (gm @ gn - gn @ gm))
+    bilinear_stack: np.ndarray
+    sigma_pairs: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,9 +88,13 @@ def gamma_set(rep: Representation) -> GammaSet:
         g5 = _blocks(_ID2, _ZERO2, _ZERO2, -_ID2)
     else:
         raise ValueError(f"unknown representation {rep!r}")
-    alpha = _frozen(g0 @ np.stack(gk))
-    return GammaSet(rep=rep, gammas=_frozen(np.stack([g0, *gk])), gamma5=g5, alpha=alpha,
-                    alpha5=_frozen(g0 @ g5), sigma_spin=_frozen(alpha @ g5))
+    gammas = np.stack([g0, *gk])
+    g0_g = g0 @ gammas
+    alpha = g0_g[1:]
+    gm, gn = (METRIC.diagonal()[:, None, None] * gammas)[np.array(PAIRS).T]
+    return GammaSet(rep, _frozen(gammas), g5, _frozen(alpha), _frozen(g0 @ g5),
+                    _frozen(alpha @ g5), _frozen(np.concatenate([g0_g, g0_g @ g5])),
+                    _frozen(0.5j * (gm @ gn - gn @ gm)))
 
 
 def _four_components(p) -> np.ndarray:

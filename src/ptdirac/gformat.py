@@ -3,7 +3,7 @@
 `format_block` writes a 2-D block of finite floats >= 0 (no -0.0) as text, row
 by row, each field followed by its separator, with the bytes of a row-by-row
 f"{x:.{precision}g}".  The digits come from a double-double pass that proves
-its rounding (`_decimal`), and `%` (`cli._fmt`) prints each value that pass
+its rounding (`_decimal`), and `%` (`_fmt`) prints each value that pass
 cannot decide.  The dispersion command imports this module only when it
 writes a table, so no other command loads it.
 """
@@ -13,8 +13,6 @@ import functools
 
 import numpy as np
 
-from .cli import _fmt
-
 # Dekker's constant 2**27 + 1: with c = x * _SPLIT, xh = c - (c - x) and
 # x - xh are halves of x of at most 26 significant bits, so the products of
 # halves are exact.
@@ -22,6 +20,11 @@ _SPLIT = 134217729.0
 # Decimal exponents beyond this are printed by `%`: within it no split
 # overflows and no partial product of the scaling underflows.
 _EXP_RANGE = 270
+
+
+def _fmt(x: float, p: int) -> str:
+    """`%` text of one finite x >= 0 (no -0.0), the fallback of `_decimal`."""
+    return f"{x:.{p}g}"
 
 
 @functools.cache
@@ -170,7 +173,7 @@ def _spans(x: np.ndarray, p: int,
         flat[at + n] = k % 10 + ord("0")
         end[i] += 4 + wide
     for i in np.flatnonzero(slow):
-        text = _fmt(x[i], p)
+        text = _fmt(float(x[i]), p)
         buf[:len(text), i] = np.frombuffer(text.encode(), np.uint8)
         start[i], end[i] = 0, len(text) - 1
     ends = end.reshape(-1, len(seps))

@@ -322,14 +322,22 @@ def _cosh_sinh(rapidity):
 
 def _boost_arrays(p4: np.ndarray, n: np.ndarray, rapidity, cosh_sinh=None) -> np.ndarray:
     """`boost` of four-vectors (..., 4) along unit axes (..., 3), row by row;
-    ``cosh_sinh``, if given, is `_cosh_sinh` of the rapidity already taken."""
+    ``cosh_sinh``, if given, is `_cosh_sinh` of the rapidity already taken.
+    A boosted row out of the floating-point range raises a ValueError naming
+    the first such rapidity."""
     ch, sh = _cosh_sinh(rapidity) if cosh_sinh is None else cosh_sinh
     e, pv = p4[..., 0], p4[..., 1:]
-    p_par = np.add.reduce(pv * n, axis=-1)
-    perp = pv - p_par[..., None] * n
-    out = np.empty(perp.shape[:-1] + (4,))
-    out[..., 0] = e * ch - p_par * sh
-    out[..., 1:] = perp + (p_par * ch - e * sh)[..., None] * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_par = np.add.reduce(pv * n, axis=-1)
+        perp = pv - p_par[..., None] * n
+        out = np.empty(perp.shape[:-1] + (4,))
+        out[..., 0] = e * ch - p_par * sh
+        out[..., 1:] = perp + (p_par * ch - e * sh)[..., None] * n
+    finite = np.isfinite(out)
+    if np.count_nonzero(finite) != finite.size:
+        first = float(np.broadcast_to(rapidity, out.shape[:-1])[~finite.all(axis=-1)].flat[0])
+        raise ValueError(f"boost out of floating-point range: the four-momentum boosted "
+                         f"by rapidity {first!r} overflows")
     return out
 
 

@@ -19,7 +19,7 @@ and in both cases vbar^2 = 1, sbar^2 = -1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class MasslessSpecies(ValueError):
     """Mean four-velocity and four-polarization divide by the mass."""
 
 
-@dataclass(frozen=True)
-class ExpectationReport:
+class ExpectationReport(NamedTuple):
     """Every plane-wave expectation value of one spec, plus shell residuals.
 
     ``constraint_residuals`` holds the residuals of the constraints linking
@@ -203,14 +202,20 @@ def constraint_values(spec, vbar: np.ndarray, sbar: np.ndarray) -> np.ndarray:
 
 def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:
     """Every expectation value of a massive spec, from one amplitude and one
-    contraction."""
+    contraction; ValueError if a constraint residual is out of floating-point
+    range, where a product of p with p, vbar or sbar overflows."""
     b, j = bilinears(amplitude(spec), spec.rep)
     vbar, sbar = mean_four_vectors(spec, b, j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = constraint_values(spec, vbar, sbar)
+    if np.count_nonzero(np.isfinite(residuals)) != residuals.size:
+        raise ValueError("constraint residuals out of floating-point range at "
+                         f"|p| = {spec.k!r}, m = {spec.mass!r}")
     names = _CONSTRAINT_NAMES[Species.BRADYON if spec.species is Species.BRADYON
                               else Species.PSEUDOTACHYON]
     return ExpectationReport(
         mean_velocity=tuple(mean_velocity(spec, b).tolist()),
         mean_four_velocity=FourVector.from_array(vbar),
         mean_spin_four_vector=FourVector.from_array(sbar),
-        constraint_residuals=dict(zip(names, constraint_values(spec, vbar, sbar).tolist())),
+        constraint_residuals=dict(zip(names, residuals.tolist())),
     )

@@ -25,7 +25,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def _out_of_range(species: Species, target) -> ValueError:
                       f"norm target w^dag w = {float(target)!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SpecGroup:
+class SpecGroup(NamedTuple):
     """Plane-wave specs of one species and one basis, with their numbers and
     their other labels as arrays, one entry per spec.
 
@@ -237,20 +236,14 @@ class PlaneWaveSpec:
         object.__setattr__(self, "momentum", tuple(g.momentum[0].tolist()))
         object.__setattr__(self, "_group", g)
         object.__setattr__(self, "_k", float(g.k[0]))
-        object.__setattr__(self, "_epsilon", float(g.epsilon[0]))
+        object.__setattr__(self, "epsilon", float(g.epsilon[0]))
         object.__setattr__(self, "four_momentum", g.four_momentum[0])
 
     @property
     def k(self) -> float:
         return self._k
 
-    @property
-    def epsilon(self) -> float:
-        return self._epsilon
-
-    @property
-    def helicity_eigenvalue(self) -> int:
-        return self.energy_sign * self.helicity
+    helicity_eigenvalue = SpecGroup.helicity_eigenvalue
 
 
 def _memoized(spec: PlaneWaveSpec, name: str, compute):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import zlib
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,16 +31,14 @@ from .kinematics import Species, minkowski_dot
 from .spinors import SpecGroup
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     max_residual: float
     tol: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     seed: int
     trials: int
     tol: float
@@ -295,7 +293,7 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
                 # the opposite-helicity negative-energy ones (up to sign)
                 u = g.energy_sign == 1
                 twin = spinors.group_amplitudes(
-                    replace(g, energy_sign=-g.energy_sign, helicity=-g.helicity))
+                    g._replace(energy_sign=-g.energy_sign, helicity=-g.helicity))
                 chir.append(np.linalg.norm(w[u] - g.helicity[u, None] * twin[u], axis=1)
                             / nw[u])
         if g.species is Species.PSEUDOTACHYON and standard:
@@ -314,7 +312,7 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             adjoint.append(np.linalg.norm(np.einsum("ni,nij->nj", wbar, adj_op), axis=1)
                            / nw[u])
         if not standard:
-            twin = spinors.group_amplitudes(replace(g, rep=Representation.STANDARD))
+            twin = spinors.group_amplitudes(g._replace(rep=Representation.STANDARD))
             repmap.append(spinors.proportionality_defect(
                 spinors.convert_representation(w, g.rep, Representation.STANDARD), twin))
     return [

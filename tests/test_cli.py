@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,12 +274,17 @@ def test_expect_luxon_rejected(capsys):
     assert "error: MasslessSpecies" in err
 
 
-def test_expect_non_finite_residual_fails(capsys):
-    # p^2 overflows in the absolute constraint residuals at |p| = 1e200
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, _ = run_main(capsys, "expect", "--species", "pt",
-                                "--momentum", "1e200,0,0", "--mass", "1")
+def test_expect_non_finite_residual_fails(capsys, monkeypatch):
+    real = cli.expectation_report
+
+    def nan_residual(spec):
+        report = real(spec)
+        return report._replace(constraint_residuals={**report.constraint_residuals,
+                                                     "p2_plus_m2": math.nan})
+
+    monkeypatch.setattr(cli, "expectation_report", nan_residual)
+    code, out, _ = run_main(capsys, "expect", "--species", "pt",
+                            "--momentum", "0,0,5", "--mass", "3")
     assert code == 1
     assert "residual p2_plus_m2 nan" in out
 
@@ -491,6 +495,28 @@ def test_overflowing_mean_four_velocity_is_usage_error(capsys):
                     "--mass", "1e-200") == (
         2, "", "error: mean four-velocity out of floating-point range: w^dag w / 2m "
                "overflows\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("species,momentum,mass,at", [
+    ("bradyon", "0,1e140,0", "1e-40", "|p| = 1e+140, m = 1e-40"),
+    ("pt", "1e200,0,0", "1", "|p| = 1e+200, m = 1.0"),
+], ids=["p-dot-vbar", "p-squared"])
+def test_overflowing_constraint_residuals_are_usage_error(capsys, species, momentum, mass, at):
+    """vbar = p/m = 1e180 is finite, but p.vbar = 1e320 is not; at |p| = 1e200
+    p^2 itself overflows."""
+    assert run_main(capsys, "expect", "--species", species, "--momentum", momentum,
+                    "--mass", mass) == (
+        2, "", f"error: constraint residuals out of floating-point range at {at}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_boosted_momentum_is_usage_error(capsys):
+    """cosh(400) is finite, but the boosted energy 1e175 cosh(400) is not."""
+    assert run_main(capsys, "transform", "--op", "boost", "--rapidity", "400",
+                    "--species", "pt", "--momentum", "0,0,1e175", "--mass", "1e175") == (
+        2, "", "error: boost out of floating-point range: the four-momentum boosted by "
+               "rapidity 400.0 overflows\n")
 
 
 def test_dispersion_steps_cap_checked_before_the_table(capsys, monkeypatch):

@@ -171,6 +171,26 @@ def test_sigma_pairs_definition(rep):
 
 
 @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_bilinear_stack_definition(rep):
+    """Rows 0-3 are gamma^0 gamma^mu, the first of them 1 and the next three
+    alpha, and rows 4-7 are gamma^0 gamma^mu gamma^5."""
+    gs = gamma_set(rep)
+    assert gs.bilinear_stack.shape == (8, 4, 4)
+    assert np.array_equal(gs.bilinear_stack[0], np.eye(4))
+    assert np.array_equal(gs.bilinear_stack[1:4], gs.alpha)
+    for mu in range(4):
+        g0_g = gs.gammas[0] @ gs.gammas[mu]
+        assert np.linalg.norm(gs.bilinear_stack[mu] - g0_g) == 0.0, mu
+        assert np.linalg.norm(gs.bilinear_stack[4 + mu] - g0_g @ gs.gamma5) == 0.0, mu
+
+
+def test_gamma_set_rejects_attribute_assignment():
+    gs = gamma_set(Representation.STANDARD)
+    with pytest.raises(AttributeError):
+        gs.gammas = gs.alpha
+
+
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
 def test_sigma_pairs_commute_with_gamma5(rep):
     gs = gamma_set(rep)
     for i, s in enumerate(gs.sigma_pairs):

@@ -13,7 +13,7 @@ from test_cli import reference_csv
 
 def formatted(x: float, p: int) -> tuple[str, int]:
     """`format_block` of the single value x, and how many values it passed to `%`."""
-    with mock.patch.object(gformat, "_fmt", wraps=cli._fmt) as fallback:
+    with mock.patch.object(gformat, "_fmt", wraps=gformat._fmt) as fallback:
         text = gformat.format_block(np.array([[x]]), p, ("\n",))
     assert text.endswith("\n")
     return text[:-1], fallback.call_count
@@ -72,7 +72,7 @@ def test_tie_heavy_table_sends_few_values_to_percent(tmp_path):
     target = tmp_path / "table.csv"
     argv = ["dispersion", "--mass", "0", "--eps-max", "1024", "--steps", "8193",
             "--precision", "3", "--out", str(target)]
-    with mock.patch.object(gformat, "_fmt", wraps=cli._fmt) as fallback:
+    with mock.patch.object(gformat, "_fmt", wraps=gformat._fmt) as fallback:
         assert cli.main(argv) == 0
     assert fallback.call_count == 2
     assert target.read_text() == reference_csv(0.0, 0.0, 1024.0, 8193, 3)

@@ -335,6 +335,19 @@ def test_boost_past_the_float_range_is_a_range_error():
         assert np.isfinite(boost(p, (0, 0, 1.0), 700.0).as_array()).all()
 
 
+def test_boost_past_the_float_range_of_the_four_vector_is_a_range_error():
+    """cosh(400) is finite but 1e175 cosh(400) is not: the error names the
+    rapidity of the first such row, with no RuntimeWarning."""
+    p = FourVector(1e175, 0, 0, 5e174)
+    rows = np.array([[4.0, 0, 0, 5.0], p.as_array()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: boost(p, (0, 0, 1.0), 400.0),
+                     lambda: _boost_arrays(rows, np.array([0, 0, 1.0]), np.array([1.0, 400.0]))):
+            with pytest.raises(ValueError, match="boosted by rapidity 400.0 overflows"):
+                call()
+
+
 def test_four_vector_rejects_non_finite():
     with pytest.raises(ValueError):
         FourVector(float("nan"), 0, 0, 0)

@@ -225,6 +225,12 @@ def test_expectation_report_bundle():
         "p2_plus_m2", "p_dot_v", "p_dot_s_plus_m_lambda"}
 
 
+def test_expectation_report_rejects_attribute_assignment():
+    report = expectation_report(PT_SPEC)
+    with pytest.raises(AttributeError):
+        report.mean_velocity = (0.0, 0.0, 0.0)
+
+
 def test_four_vector_closed_forms_at_tiny_momentum():
     """dual(p) takes |p| by a scaled norm, so |p| = 1e-300 no longer
     underflows to zero and raises ZeroMomentum."""

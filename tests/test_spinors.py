@@ -582,6 +582,24 @@ def test_group_label_columns_take_one_label_or_one_per_spec():
         assert g.helicity_eigenvalue.tolist() == [-1, -1]
 
 
+def test_group_rejects_attribute_assignment():
+    g = SpecGroup.from_arrays(Species.BRADYON, STD, 1, 1, [(0, 0, 4.0)], [3.0], [0])
+    with pytest.raises(AttributeError):
+        g.mass = np.array([1.0])
+
+
+def test_group_replace_keeps_the_other_arrays():
+    """verify builds its twin groups with `_replace`: the fields not named
+    are the very arrays of the original group, already validated."""
+    g = SpecGroup.from_arrays(Species.LUXON, STD, [1, -1], 1, [(0, 0, 4.0), (0, 3.0, 0)],
+                              [0.0, 0.0], [0, 1])
+    twin = g._replace(energy_sign=-g.energy_sign, helicity=-g.helicity, rep=WEYL)
+    assert twin.rep is WEYL and twin.species is g.species
+    assert twin.energy_sign.tolist() == [-1, 1] and twin.helicity.tolist() == [-1, -1]
+    for name in ("rows", "momentum", "k", "mass", "epsilon", "four_momentum"):
+        assert getattr(twin, name) is getattr(g, name), name
+
+
 # ------------------------------------------------- batch kernel against N = 1
 
 def kernel_specs():

@@ -21,6 +21,14 @@ def test_clean_run_passes():
     assert verify.run_all(SEED, TRIALS, TOL).passed
 
 
+def test_reports_reject_attribute_assignment():
+    report = verify.run_all(SEED, 2, TOL)
+    with pytest.raises(AttributeError):
+        report.checks = ()
+    with pytest.raises(AttributeError):
+        report.checks[0].passed = False
+
+
 def test_run_all_builds_one_hamiltonian_per_group(monkeypatch):
     """The hermiticity and eigenvalue checks share H(sign p): one build for
     each of the four massive species-and-basis groups."""
