@@ -61,8 +61,21 @@ class GammaSet(NamedTuple):
     over it gives wbar gamma^mu w and wbar gamma^mu gamma^5 w, and its first
     four are 1, alpha^1, alpha^2, alpha^3.  ``sigma_pairs`` holds the six
     sigma_{mu nu} = (i/2)[gamma_mu, gamma_nu] with mu < nu, in the order of
-    PAIRS, shape (6, 4, 4).  Indexing a stack gives one matrix, and every
-    stack is read-only.
+    PAIRS, shape (6, 4, 4).
+
+    The folded stacks add an identity or mass term as one more row, so each
+    operator below is one `contract`.  ``wave`` is the pair (tachyonic,
+    bradyon) of gamma^0, -gamma^1, -gamma^2, -gamma^3 and then -gamma^5 or
+    -1, shape (5, 4, 4): against (eps, p, sign m) it gives
+    `spinors.wave_operator`.  ``hamiltonian`` is the pair of alpha^1..alpha^3
+    and then alpha^5 or gamma^0, shape (4, 4, 4): against (p, m) it gives
+    `observables.hamiltonian`.  ``boost`` holds -alpha^1..-alpha^3 and the
+    identity, shape (4, 4, 4): against (sinh(zeta/2) n, cosh(zeta/2)) it
+    gives the spinor boost.  ``generator`` holds -i sigma_{mu nu} in the order
+    of PAIRS and the identity, shape (7, 4, 4): against (domega^{mu nu}, 2) it
+    gives twice `symmetries.lorentz_generator`.  A pair is indexed by
+    ``species is Species.BRADYON``.  Indexing a stack gives one matrix, and
+    every stack is read-only.
     """
 
     rep: Representation
@@ -73,6 +86,10 @@ class GammaSet(NamedTuple):
     sigma_spin: np.ndarray
     bilinear_stack: np.ndarray
     sigma_pairs: np.ndarray
+    wave: tuple[np.ndarray, np.ndarray]
+    hamiltonian: tuple[np.ndarray, np.ndarray]
+    boost: np.ndarray
+    generator: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,11 +107,17 @@ def gamma_set(rep: Representation) -> GammaSet:
         raise ValueError(f"unknown representation {rep!r}")
     gammas = np.stack([g0, *gk])
     g0_g = g0 @ gammas
-    alpha = g0_g[1:]
-    gm, gn = (METRIC.diagonal()[:, None, None] * gammas)[np.array(PAIRS).T]
-    return GammaSet(rep, _frozen(gammas), g5, _frozen(alpha), _frozen(g0 @ g5),
+    alpha, alpha5, eye = g0_g[1:], g0 @ g5, np.eye(4)[None]
+    lowered = METRIC.diagonal()[:, None, None] * gammas
+    gm, gn = lowered[np.array(PAIRS).T]
+    sigma_pairs = 0.5j * (gm @ gn - gn @ gm)
+    return GammaSet(rep, _frozen(gammas), g5, _frozen(alpha), _frozen(alpha5),
                     _frozen(alpha @ g5), _frozen(np.concatenate([g0_g, g0_g @ g5])),
-                    _frozen(0.5j * (gm @ gn - gn @ gm)))
+                    _frozen(sigma_pairs),
+                    tuple(_frozen(np.concatenate([lowered, -u])) for u in (g5[None], eye)),
+                    tuple(_frozen(np.concatenate([alpha, t[None]])) for t in (alpha5, g0)),
+                    _frozen(np.concatenate([-alpha, eye])),
+                    _frozen(np.concatenate([-1j * sigma_pairs, eye])))
 
 
 def _four_components(p) -> np.ndarray:
@@ -111,14 +134,11 @@ def contract(coeffs, stack: np.ndarray) -> np.ndarray:
 
     One real matmul: the coefficients flattened to (-1, k) times the stack's
     float view (k, 32), real and imaginary parts interleaved, viewed back as
-    complex.  Every stack this package contracts has real and imaginary
-    entries in {0, +-1} with at most two nonzero terms per entry and part, so
-    every product is exact and every sum rounds once, in any order: the
-    result is the exact sum correctly rounded under every BLAS kernel, and a
-    real sum that overflows leaves the imaginary part alone.  The builders
-    that add an identity or mass term (`spinors.wave_operator`,
-    `observables.hamiltonian`, the boost and generator maps of `symmetries`)
-    pass it as one more stack row with its coefficient.
+    complex.  Every stack it is given is a `GammaSet` field, with real and
+    imaginary entries in {0, +-1} and at most two nonzero terms per entry and
+    part, so every product is exact and every sum rounds once, in any order:
+    the result is the exact sum correctly rounded under every BLAS kernel,
+    and a real sum that overflows leaves the imaginary part alone.
     """
     c = np.asarray(coeffs)
     if c.dtype.kind == "c":
@@ -149,12 +169,14 @@ def slash(gs: GammaSet, p) -> np.ndarray:
     return contract(_four_components(p) * METRIC.diagonal(), gs.gammas)
 
 
+@functools.cache
 def representation_change() -> np.ndarray:
     """Unitary map from Weyl-basis bispinors to standard-basis bispinors.
 
     Sends (xi; eta) to ((xi + eta)/sqrt(2); (xi - eta)/sqrt(2)).  The matrix
     is hermitian and involutive, so it is its own inverse, and it conjugates
-    the Weyl gamma matrices into the standard ones.
+    the Weyl gamma matrices into the standard ones.  Built once; every call
+    returns the same read-only array.
     """
     return _frozen(_blocks(_ID2, _ID2, _ID2, -_ID2) / np.sqrt(2.0))
 

@@ -18,12 +18,11 @@ and in both cases vbar^2 = 1, sbar^2 = -1.
 """
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import Representation, _frozen, _with_term, contract, gamma_set
+from .clifford import Representation, _with_term, contract, gamma_set
 from .kinematics import FourVector, Species, _check_member, dual_momentum, minkowski_dot
 from .spinors import PlaneWaveSpec, amplitude
 
@@ -52,16 +51,6 @@ class ExpectationReport(NamedTuple):
     constraint_residuals: dict[str, float]
 
 
-@functools.lru_cache(maxsize=None)
-def _hamiltonian_stack(rep: Representation, bradyon: bool) -> np.ndarray:
-    """alpha^1, alpha^2, alpha^3 and the mass term (gamma^0 for bradyons,
-    alpha^5 for tachyonic species), read-only (4, 4, 4): against the
-    coefficients (p, m) it contracts to `hamiltonian`."""
-    gs = gamma_set(rep)
-    term = gs.gammas[0] if bradyon else gs.alpha5
-    return _frozen(np.concatenate([gs.alpha, term[None]]))
-
-
 def hamiltonian(species: Species, momentum, mass,
                 rep: Representation = Representation.STANDARD) -> np.ndarray:
     """Momentum-space hamiltonian alpha.p plus the species mass term.
@@ -76,7 +65,7 @@ def hamiltonian(species: Species, momentum, mass,
     """
     _check_member("species", species, Species)
     return contract(_with_term(np.asarray(momentum, dtype=float), mass),
-                    _hamiltonian_stack(rep, species is Species.BRADYON))
+                    gamma_set(rep).hamiltonian[species is Species.BRADYON])
 
 
 def energy_eigencheck(spec, w=None, h=None):

@@ -20,7 +20,6 @@ with no 0/0 anywhere.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -29,8 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .clifford import (METRIC, Representation, _four_components, _frozen, _with_term, contract,
-                       gamma_set, representation_change)
+from .clifford import (Representation, _four_components, _with_term, contract, gamma_set,
+                       representation_change)
 from .kinematics import Species, ZeroMomentum, _check_member, energy_from_momentum
 
 
@@ -319,20 +318,6 @@ def amplitude(spec: PlaneWaveSpec) -> np.ndarray:
     return _memoized(spec, "_amplitude", lambda: group_amplitudes(spec._group)[0])
 
 
-_EYE4 = np.eye(4)
-_EYE4.setflags(write=False)
-
-
-@functools.lru_cache(maxsize=None)
-def _wave_stack(rep: Representation, bradyon: bool) -> np.ndarray:
-    """gamma^0, -gamma^1, -gamma^2, -gamma^3 and minus the mass unit (1 for
-    bradyons, gamma^5 for tachyonic species), read-only (5, 4, 4): against
-    the coefficients (eps, p, sign m) it contracts to `wave_operator`."""
-    gs = gamma_set(rep)
-    unit = _EYE4 if bradyon else gs.gamma5
-    return _frozen(np.concatenate([METRIC.diagonal()[:, None, None] * gs.gammas, -unit[None]]))
-
-
 def wave_operator(spec, p4, signed_mass) -> np.ndarray:
     """slash(p) - sign m (gamma^5 for tachyonic species, 1 for bradyons), in
     the basis and the species family of a spec or group.
@@ -340,10 +325,10 @@ def wave_operator(spec, p4, signed_mass) -> np.ndarray:
     ``p4`` is a four-vector or an array (..., 4) of them, and ``signed_mass``
     (sign * m) broadcasts against its leading axes.  The operator of a raw
     four-vector, so it also serves boosted momenta off the positive shell.
-    One `contract` of (eps; p, sign m) against `_wave_stack`.
+    One `contract` of (eps; p, sign m) against `GammaSet.wave`.
     """
     return contract(_with_term(_four_components(p4), signed_mass),
-                    _wave_stack(spec.rep, spec.species is Species.BRADYON))
+                    gamma_set(spec.rep).wave[spec.species is Species.BRADYON])
 
 
 def dirac_operator(spec) -> np.ndarray:

@@ -26,10 +26,9 @@ import functools
 
 import numpy as np
 
-from .clifford import (METRIC, PAIRS, Representation, _frozen, _with_term, contract, dagger,
-                       gamma_set)
+from .clifford import METRIC, PAIRS, Representation, _with_term, contract, dagger, gamma_set
 from .kinematics import Species, _boost_arrays, _check_member, _cosh_sinh, _unit_axis
-from .spinors import _EYE4, PlaneWaveSpec, _memoized, amplitude, relative_residual, wave_operator
+from .spinors import PlaneWaveSpec, _memoized, amplitude, relative_residual, wave_operator
 
 
 class DiscreteKind(enum.Enum):
@@ -178,14 +177,6 @@ def _check_antisymmetric(domega: np.ndarray) -> np.ndarray:
 _PAIR_ROWS, _PAIR_COLS = np.array(PAIRS).T
 
 
-@functools.lru_cache(maxsize=None)
-def _generator_stack(rep: Representation) -> np.ndarray:
-    """-i sigma_{mu nu} in the order of PAIRS, then the identity, read-only
-    (7, 4, 4): against the coefficients (domega^{mu nu}, 2) it contracts to
-    twice `lorentz_generator`."""
-    return _frozen(np.concatenate([-1j * gamma_set(rep).sigma_pairs, _EYE4[None]]))
-
-
 def lorentz_generator(delta_omega, rep: Representation = Representation.STANDARD) -> np.ndarray:
     """First-order spinor map I - (i/4) sigma_{mu nu} domega^{mu nu}.
 
@@ -197,7 +188,7 @@ def lorentz_generator(delta_omega, rep: Representation = Representation.STANDARD
     d = _check_antisymmetric(delta_omega)
     # antisymmetry: the (nu, mu) term doubles the (mu, nu) one.  The sum is
     # twice the map, halved after, so a subnormal half rounds once
-    s = contract(_with_term(d[..., _PAIR_ROWS, _PAIR_COLS], 2.0), _generator_stack(rep))
+    s = contract(_with_term(d[..., _PAIR_ROWS, _PAIR_COLS], 2.0), gamma_set(rep).generator)
     s *= 0.5
     return s
 
@@ -219,18 +210,10 @@ def first_order_covariance_residual(delta_omega,
     return float(np.linalg.norm(lhs - s @ gs.gammas, axis=(1, 2)).max())
 
 
-@functools.lru_cache(maxsize=None)
-def _boost_stack(rep: Representation) -> np.ndarray:
-    """-alpha^1, -alpha^2, -alpha^3 and the identity, read-only (4, 4, 4):
-    against the coefficients (sinh(zeta/2) n, cosh(zeta/2)) it contracts to
-    the spinor boost."""
-    return _frozen(np.concatenate([-gamma_set(rep).alpha, _EYE4[None]]))
-
-
 def _boost_spinors(n: np.ndarray, ch, sh, rep: Representation) -> np.ndarray:
     """cosh(zeta/2) I - sinh(zeta/2) alpha.n from unit axes and the cosh and
     sinh of the half rapidities."""
-    return contract(_with_term(np.asarray(sh)[..., None] * n, ch), _boost_stack(rep))
+    return contract(_with_term(np.asarray(sh)[..., None] * n, ch), gamma_set(rep).boost)
 
 
 def lorentz_boost_spinor(axis, rapidity,

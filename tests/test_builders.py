@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ptdirac import clifford, observables, spinors, symmetries, verify
+from ptdirac import cli, clifford, observables, spinors, symmetries, verify
 from ptdirac.clifford import Representation, contract, gamma_set, slash
 from ptdirac.kinematics import Species, _cosh_sinh, _unit_axis
 from test_clifford import FOLDED, stack_of
@@ -38,7 +38,41 @@ def test_every_contracted_stack_meets_the_exactness_precondition(name, stack):
     assert_exact_stack(stack)
 
 
-def test_the_stacks_seen_by_contract_in_a_verify_run_meet_the_precondition(monkeypatch):
+def gamma_set_members():
+    """id -> array of every stack held by a `GammaSet`, tuple members included."""
+    members = {}
+    for rep in REPS:
+        for field in gamma_set(rep):
+            for stack in field if isinstance(field, tuple) else (field,):
+                if isinstance(stack, np.ndarray):
+                    members[id(stack)] = stack
+    return members
+
+
+def one_state_runs():
+    """The one-state path: `cli.main` spinor, expect and every transform for
+    a pseudotachyon and a bradyon in both bases, then direct calls of the
+    hamiltonian and the Lorentz generator."""
+    for species in ("pt", "bradyon"):
+        for rep in ("standard", "weyl"):
+            spec = ["--species", species, "--momentum", "0.6,0,0.8", "--mass", "0.5",
+                    "--rep", rep]
+            runs = [["spinor"], ["expect"]] + [["transform", "--op", op] for op in "PCTI"]
+            runs.append(["transform", "--op", "boost", "--rapidity", "0.7"])
+            for run in runs:
+                assert cli.main(run + spec) == cli.EXIT_OK
+    for rep in REPS:
+        for species in SPECIES:
+            observables.hamiltonian(species, (0.6, 0.0, 0.8), 0.5, rep)
+        d = np.zeros((4, 4))
+        d[0, 1], d[1, 0] = 1e-3, -1e-3
+        symmetries.lorentz_generator(d, rep)
+
+
+def assert_contract_sees_only_gamma_set_members(monkeypatch, run):
+    """No module builds a contracted stack of its own: every stack that
+    `contract` receives during ``run()`` is a `GammaSet` field, by identity,
+    so it meets the exactness precondition."""
     seen = {}
 
     def spy(coeffs, stack):
@@ -48,10 +82,23 @@ def test_the_stacks_seen_by_contract_in_a_verify_run_meet_the_precondition(monke
     # verify calls clifford.contract; the builders call the name they imported
     for module in (clifford, spinors, observables, symmetries):
         monkeypatch.setattr(module, "contract", spy)
-    assert verify.run_all(3, 40, 1e-12).passed
+    run()
+    members = gamma_set_members()
     assert len(seen) >= 10
-    for stack in seen.values():
+    for key, stack in seen.items():
+        assert members.get(key) is stack, f"a stack {stack.shape} outside gamma_set"
         assert_exact_stack(stack)
+
+
+def test_the_stacks_seen_by_contract_in_a_verify_run_meet_the_precondition(monkeypatch):
+    def run():
+        assert verify.run_all(3, 40, 1e-12).passed
+
+    assert_contract_sees_only_gamma_set_members(monkeypatch, run)
+
+
+def test_the_stacks_seen_by_contract_on_the_one_state_path_meet_the_precondition(monkeypatch):
+    assert_contract_sees_only_gamma_set_members(monkeypatch, one_state_runs)
 
 
 def test_folded_stacks_are_cached_per_basis_and_family():

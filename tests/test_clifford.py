@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ptdirac import observables, spinors, symmetries
 from ptdirac.clifford import (
     METRIC,
     PAIRS,
@@ -118,12 +117,12 @@ def test_slash_linear_in_momentum(std, rng):
 STACKS = ("gammas", "alpha", "sigma_spin", "bilinear_stack", "sigma_pairs")
 # The stacks the builders fold an identity or mass term into, per basis.
 FOLDED = {
-    "wave-bradyon": lambda rep: spinors._wave_stack(rep, True),
-    "wave-tachyonic": lambda rep: spinors._wave_stack(rep, False),
-    "hamiltonian-bradyon": lambda rep: observables._hamiltonian_stack(rep, True),
-    "hamiltonian-tachyonic": lambda rep: observables._hamiltonian_stack(rep, False),
-    "boost": lambda rep: symmetries._boost_stack(rep),
-    "generator": lambda rep: symmetries._generator_stack(rep),
+    "wave-bradyon": lambda rep: gamma_set(rep).wave[True],
+    "wave-tachyonic": lambda rep: gamma_set(rep).wave[False],
+    "hamiltonian-bradyon": lambda rep: gamma_set(rep).hamiltonian[True],
+    "hamiltonian-tachyonic": lambda rep: gamma_set(rep).hamiltonian[False],
+    "boost": lambda rep: gamma_set(rep).boost,
+    "generator": lambda rep: gamma_set(rep).generator,
 }
 # zeros of both signs, subnormals, and magnitudes whose sums overflow
 EDGE_COEFFS = (0.0, -0.0, 5e-324, 1e-310, 1e300, -1e300, 1.7e308, -1.7e308)
@@ -224,6 +223,14 @@ def test_representation_change_involutive_unitary():
     assert np.linalg.norm(w @ w - np.eye(4)) <= 1e-14
     assert np.linalg.norm(dagger(w) @ w - np.eye(4)) <= 1e-14
     assert np.linalg.norm(w - dagger(w)) == 0.0
+
+
+def test_representation_change_is_built_once_and_read_only():
+    w = representation_change()
+    assert representation_change() is w
+    assert not w.flags.writeable
+    expected = np.block([[I2, I2], [I2, -I2]]) / np.sqrt(2.0)
+    assert w.dtype == complex and w.tobytes() == expected.astype(complex).tobytes()
 
 
 def test_representation_change_conjugates_gammas(std, weyl):
