@@ -73,9 +73,12 @@ class GammaSet(NamedTuple):
     identity, shape (4, 4, 4): against (sinh(zeta/2) n, cosh(zeta/2)) it
     gives the spinor boost.  ``generator`` holds -i sigma_{mu nu} in the order
     of PAIRS and the identity, shape (7, 4, 4): against (domega^{mu nu}, 2) it
-    gives twice `symmetries.lorentz_generator`.  A pair is indexed by
-    ``species is Species.BRADYON``.  Indexing a stack gives one matrix, and
-    every stack is read-only.
+    gives twice `symmetries.lorentz_generator`.  ``discrete`` is the pair of
+    the discrete symmetry matrices in the order of `symmetries.DiscreteKind`,
+    shape (4, 4, 4): P = gamma^0, C = i gamma^2, T = i gamma^1 gamma^3 and
+    I = i gamma^5, with P and C times gamma^5 in the tachyonic family.  A pair
+    is indexed by ``species is Species.BRADYON``.  Indexing a stack gives one
+    matrix, and every stack is read-only.
     """
 
     rep: Representation
@@ -90,6 +93,7 @@ class GammaSet(NamedTuple):
     hamiltonian: tuple[np.ndarray, np.ndarray]
     boost: np.ndarray
     generator: np.ndarray
+    discrete: tuple[np.ndarray, np.ndarray]
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,13 +115,16 @@ def gamma_set(rep: Representation) -> GammaSet:
     lowered = METRIC.diagonal()[:, None, None] * gammas
     gm, gn = lowered[np.array(PAIRS).T]
     sigma_pairs = 0.5j * (gm @ gn - gn @ gm)
+    discrete = np.stack([g0, 1j * gk[1], 1j * gk[0] @ gk[2], 1j * g5])
     return GammaSet(rep, _frozen(gammas), g5, _frozen(alpha), _frozen(alpha5),
                     _frozen(alpha @ g5), _frozen(np.concatenate([g0_g, g0_g @ g5])),
                     _frozen(sigma_pairs),
                     tuple(_frozen(np.concatenate([lowered, -u])) for u in (g5[None], eye)),
                     tuple(_frozen(np.concatenate([alpha, t[None]])) for t in (alpha5, g0)),
                     _frozen(np.concatenate([-alpha, eye])),
-                    _frozen(np.concatenate([-1j * sigma_pairs, eye])))
+                    _frozen(np.concatenate([-1j * sigma_pairs, eye])),
+                    (_frozen(np.concatenate([discrete[:2] @ g5, discrete[2:]])),
+                     _frozen(discrete)))
 
 
 def _four_components(p) -> np.ndarray:

@@ -309,12 +309,15 @@ def group_amplitudes(g: SpecGroup) -> np.ndarray:
     return (_block_factors(g).T[:, :, None] * theta[:, None, :]).reshape(-1, 4)
 
 
-def amplitude(spec: PlaneWaveSpec) -> np.ndarray:
-    """The helicity bispinor amplitude of the given plane wave.
+def amplitude(spec) -> np.ndarray:
+    """The helicity bispinor amplitude of the given plane wave, or the
+    amplitudes (n, 4) of a `SpecGroup`, which are `group_amplitudes`.
 
-    Row 0 of `group_amplitudes` on the spec's group of one, computed on first
-    use and kept on the spec; the array is read-only.
+    For a spec, row 0 of `group_amplitudes` on its group of one, computed on
+    first use and kept on the spec; the array is read-only.
     """
+    if isinstance(spec, SpecGroup):
+        return group_amplitudes(spec)
     return _memoized(spec, "_amplitude", lambda: group_amplitudes(spec._group)[0])
 
 
@@ -397,7 +400,10 @@ def normalization_factor(spec, volume=1.0):
 def convert_representation(b: np.ndarray, from_rep: Representation,
                            to_rep: Representation) -> np.ndarray:
     """Map a bispinor, or stacked bispinors along the last axis, between the
-    Weyl and standard bases (involutive)."""
+    Weyl and standard bases (involutive).  A basis that is not a
+    `Representation` raises ValueError."""
+    _check_member("from_rep", from_rep, Representation)
+    _check_member("to_rep", to_rep, Representation)
     b = np.asarray(b, dtype=complex)
     if from_rep is to_rep:
         return b.copy()

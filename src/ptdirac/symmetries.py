@@ -22,7 +22,6 @@ to solutions at the boosted momentum under the sign convention of
 from __future__ import annotations
 
 import enum
-import functools
 
 import numpy as np
 
@@ -43,65 +42,40 @@ class DiscreteKind(enum.Enum):
         return self in (DiscreteKind.CHARGE_CONJUGATION, DiscreteKind.TIME_INVERSION)
 
 
-@functools.lru_cache(maxsize=None)
-def discrete_operator(kind: DiscreteKind, species: Species, rep: Representation) -> np.ndarray:
-    """The unitary matrix of one discrete symmetry for one species and basis.
-
-    Luxons take the pseudotachyon matrices (their amplitudes are that
-    family's m -> 0 limit).  Built once per (kind, species, basis); the
-    matrix is read-only.  A ``species`` that is not a `Species` raises
-    ValueError, which leaves nothing in the cache.
-    """
-    _check_member("species", species, Species)
-    gs = gamma_set(rep)
-    g = gs.gammas
-    extra = np.eye(4) if species is Species.BRADYON else gs.gamma5
-    if kind is DiscreteKind.PARITY:
-        matrix = g[0] @ extra
-    elif kind is DiscreteKind.CHARGE_CONJUGATION:
-        matrix = 1j * g[2] @ extra
-    elif kind is DiscreteKind.TIME_INVERSION:
-        matrix = 1j * g[1] @ g[3]
-    elif kind is DiscreteKind.FOUR_INVERSION:
-        matrix = 1j * gs.gamma5
-    else:
-        raise ValueError(f"unknown discrete kind {kind!r}")
-    matrix.setflags(write=False)
-    return matrix
-
-
-_KINDS = tuple(DiscreteKind)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
+_KIND_INDEX = {kind: i for i, kind in enumerate(DiscreteKind)}
+# Where `_images` puts entry U_k[i, j] of a family's stack in its (8, 16) map:
+# row (c, j), c = 1 for the antilinear C and T and 0 for P and I, column (k, i).
+_SLOTS = np.array([(kind.antilinear * 4 + j) * 16 + k * 4 + i
+                   for k, kind in enumerate(DiscreteKind) for i in range(4) for j in range(4)])
 # The two target waves: P and T send (eps; p) to (eps; -p), C and I flip the
 # sign of the mass term.  In the order of DiscreteKind, kind 2a + b has target b.
 _MOMENTUM_SIGNS = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
 _MASS_SIGNS = np.array([1.0, -1.0])
 
 
-@functools.lru_cache(maxsize=None)
-def _discrete_stack(species: Species, rep: Representation) -> np.ndarray:
-    """The four `discrete_operator` matrices of one species and basis as a
-    (2, 4, 4, 4) stack S[c, k] (kind k in the order of DiscreteKind), S[0, k]
-    acting on w and S[1, k] on conj(w), the other one of each pair zero.
+def discrete_operator(kind: DiscreteKind, species: Species, rep: Representation) -> np.ndarray:
+    """The unitary matrix of one discrete symmetry for one species and basis.
 
-    Returned read-only and flattened to (8, 16), rows (c, j) and columns
-    (k, i), so that (w, conj w) concatenated, times it, is U_k w or U_k conj(w)
-    for all four kinds in one matmul.
+    One row of `GammaSet.discrete`, read-only.  Luxons take the pseudotachyon
+    matrices (their amplitudes are that family's m -> 0 limit).  A ``kind``
+    that is not a `DiscreteKind`, or a ``species`` that is not a `Species`,
+    raises ValueError.
     """
-    stack = np.zeros((2, 4, 4, 4), dtype=complex)
-    for i, kind in enumerate(_KINDS):
-        stack[int(kind.antilinear), i] = discrete_operator(kind, species, rep)
-    flat = stack.transpose(0, 3, 1, 2).reshape(8, 16)
-    flat.setflags(write=False)
-    return flat
+    _check_member("kind", kind, DiscreteKind)
+    _check_member("species", species, Species)
+    return gamma_set(rep).discrete[species is Species.BRADYON][_KIND_INDEX[kind]]
 
 
 def _images(spec, w) -> tuple[np.ndarray, np.ndarray]:
     """`discrete_images` of a spec or group with its amplitudes ``w``, uncached."""
     rows = w.shape[:-1]
     both = np.concatenate([w, w.conj()], axis=-1)
+    # (w, conj w) times the zero-padded map is U_k w or U_k conj(w) for all
+    # four kinds in one matmul, exact since each column holds one +-1 or +-i
+    flat = np.zeros(128, dtype=complex)
+    flat[_SLOTS] = gamma_set(spec.rep).discrete[spec.species is Species.BRADYON].ravel()
     # the images as (..., a, b, 4), kind 2a + b, each pair against its target b
-    images = (both @ _discrete_stack(spec.species, spec.rep)).reshape(rows + (2, 2, 4))
+    images = (both @ flat.reshape(8, 16)).reshape(rows + (2, 2, 4))
     p4 = spec.four_momentum[..., None, :] * _MOMENTUM_SIGNS
     signed_mass = (spec.energy_sign * np.asarray(spec.mass))[..., None] * _MASS_SIGNS
     target = wave_operator(spec, p4, signed_mass)
@@ -113,18 +87,20 @@ def discrete_images(spec, w=None) -> tuple[np.ndarray, np.ndarray]:
     """`apply_discrete` of every kind at once, in the order of DiscreteKind.
 
     Returns the transformed bispinors (..., 4, 4), one row per kind, and the
-    residuals (..., 4).  Both come from one pass: the (2, 4, 4, 4) operator
-    stack of the species and basis applied to (w, conj w), and one
+    residuals (..., 4).  Both come from one pass: the `GammaSet.discrete`
+    stack of the species family and basis, laid out on each call as one
+    zero-padded (8, 16) map, applied to (w, conj w) in one matmul, and one
     `wave_operator` stack of the two targets, (eps; -p) with the mass term of
     w for P and T and (eps; p) with the opposite one for C and I, each applied
-    to its pair of images in one `relative_residual`.
+    to its pair of images in one `relative_residual`.  ``w`` defaults to
+    `amplitude(spec)`, for a group too.
     For a `PlaneWaveSpec` and its own amplitude (``w`` None or
     ``amplitude(spec)``) the result is computed once and kept on the spec,
     read-only.
     """
     if isinstance(spec, PlaneWaveSpec) and (w is None or w is spec.__dict__.get("_amplitude")):
         return _memoized(spec, "_discrete_images", lambda: _images(spec, amplitude(spec)))
-    return _images(spec, w)
+    return _images(spec, amplitude(spec) if w is None else w)
 
 
 def apply_discrete(kind: DiscreteKind, spec, w=None) -> tuple[np.ndarray, float]:

@@ -381,8 +381,8 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 @functools.lru_cache(maxsize=None)
 def _symmetry_identities() -> tuple[tuple[float, ...], ...]:
     """The residuals of the symmetry checks that use no draw, unitarity and
-    the PCT product, computed once, since `discrete_operator` returns the
-    same read-only matrices on every call."""
+    the PCT product, computed once, since `discrete_operator` reads its
+    matrices from `gamma_set`, whose tables do not change between calls."""
     unit, pct = [], []
     pt, brad = Species.PSEUDOTACHYON, Species.BRADYON
     inversion = symmetries.DiscreteKind.FOUR_INVERSION

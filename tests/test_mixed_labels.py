@@ -114,3 +114,26 @@ def test_boost_rows_equal_single_specs(g):
     single = [symmetries.apply_boost(s, axes[j], float(zetas[j])) for j, s in enumerate(specs)]
     assert_rows_equal(transformed, lambda j: single[j][0], n)
     assert_rows_equal(residual, lambda j: single[j][1], n)
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=IDS)
+def test_a_group_given_no_amplitudes_takes_its_group_amplitudes(g):
+    """``w`` omitted on a group means `group_amplitudes(g)`, as it means the
+    spec's own amplitude on a spec."""
+    w = spinors.group_amplitudes(g)
+    b, _ = observables.bilinears(w, g.rep)
+    calls = [(spinors.amplitude(g), w),
+             (spinors.solution_residual(g), spinors.solution_residual(g, w)),
+             (observables.energy_eigencheck(g), observables.energy_eigencheck(g, w)),
+             (symmetries.apply_boost(g, (0, 0, 1), 0.3),
+              symmetries.apply_boost(g, (0, 0, 1), 0.3, w)),
+             (observables.mean_velocity(g), observables.mean_velocity(g, b)),
+             (symmetries.discrete_images(g), symmetries.discrete_images(g, w))]
+    calls += [(symmetries.apply_discrete(kind, g), symmetries.apply_discrete(kind, g, w))
+              for kind in symmetries.DiscreteKind]
+    for got, want in calls:
+        for x, y in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want)),
+                        strict=True):
+            assert x.shape[0] == len(g.rows)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()

@@ -398,6 +398,14 @@ def test_convert_representation_spot():
     assert np.linalg.norm(out - [math.sqrt(2), 0, 0, 0]) <= 1e-14
 
 
+@pytest.mark.parametrize("bad", ["standard", "weyl", None, 0])
+def test_convert_representation_rejects_a_basis_outside_the_enum(bad):
+    vec = np.array([1.0, 0, 1.0, 0])
+    for args in ((bad, STD), (STD, bad), (bad, bad)):
+        with pytest.raises(ValueError, match=r"_rep must be a Representation"):
+            convert_representation(vec, *args)
+
+
 def test_convert_representation_maps_each_row_of_a_stack_alone(rng):
     rows = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) \
         * 10.0 ** rng.uniform(-200, 200, size=(4, 1))

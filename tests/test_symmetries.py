@@ -45,6 +45,28 @@ def test_operator_matrices_standard(std):
         assert np.array_equal(discrete_operator(kind, species, STD), expected), (kind, species)
 
 
+@pytest.mark.parametrize("rep", [STD, WEYL])
+def test_discrete_operators_are_rows_of_the_gamma_set_table(rep):
+    table = gamma_set(rep).discrete
+    for species in Species:
+        stack = table[species is Species.BRADYON]
+        for i, kind in enumerate(DiscreteKind):
+            u = discrete_operator(kind, species, rep)
+            assert u.tobytes() == stack[i].tobytes(), (kind, species)
+            assert not u.flags.writeable
+    for stack in table:
+        assert stack.shape == (4, 4, 4)
+        assert not stack.flags.writeable
+        # monomial: one nonzero per row and column, each +-1 or +-i, so the
+        # padded matmul of `symmetries._images` is exact under every BLAS kernel
+        nonzero = stack != 0
+        assert (nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=2) == 1).all()
+        assert set(stack[nonzero].tolist()) <= {1, -1, 1j, -1j}
+    for kind in ("P", "parity", None, 0):
+        with pytest.raises(ValueError, match=rf"kind must be a DiscreteKind, got {kind!r}"):
+            discrete_operator(kind, Species.BRADYON, rep)
+
+
 def test_conjugation_flags():
     for kind, expected in [(DiscreteKind.PARITY, False),
                            (DiscreteKind.CHARGE_CONJUGATION, True),
@@ -296,10 +318,8 @@ def test_symmetry_checks_reject_zero_trials():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("species", ["bradyon", "pseudotachyon", None, 0])
 def test_operators_reject_a_species_outside_the_enum(species):
-    """A species given by name must not fall through to the tachyonic family,
-    and the refusal must leave nothing in the cache."""
+    """A species given by name must not fall through to the tachyonic family."""
     bad = rf"species must be a Species, got {re.escape(repr(species))}"
-    before = discrete_operator.cache_info().currsize
     for kind in DiscreteKind:
         for rep in (STD, WEYL):
             with pytest.raises(ValueError, match=bad):
@@ -307,5 +327,4 @@ def test_operators_reject_a_species_outside_the_enum(species):
     for call in (pct_product, pct_phase):
         with pytest.raises(ValueError, match=bad):
             call(species, STD)
-    assert discrete_operator.cache_info().currsize == before
     assert pct_phase(Species.BRADYON, STD) == pytest.approx(-1.0)
