@@ -96,9 +96,22 @@ class GammaSet(NamedTuple):
     discrete: tuple[np.ndarray, np.ndarray]
 
 
-@functools.lru_cache(maxsize=None)
+# The built sets by the id of their member.  Only members are stored, and a
+# member lives as long as its class, so no other live object has a stored id;
+# every object has an id, so an unhashable basis gets the same ValueError as
+# any other unknown one.
+_GAMMA_SETS: dict[int, GammaSet] = {}
+
+
 def gamma_set(rep: Representation) -> GammaSet:
-    """Construct the gamma matrices of the requested representation."""
+    """The gamma matrices of the requested representation, built once."""
+    gs = _GAMMA_SETS.get(id(rep))
+    if gs is None:
+        gs = _GAMMA_SETS[id(rep)] = _build_gamma_set(rep)
+    return gs
+
+
+def _build_gamma_set(rep: Representation) -> GammaSet:
     if rep is Representation.STANDARD:
         g0 = _blocks(_ID2, _ZERO2, _ZERO2, -_ID2)
         gk = [_blocks(_ZERO2, s, -s, _ZERO2) for s in PAULI]
