@@ -14,6 +14,8 @@ energy sign and helicity as entries of per-row columns, and checks that need
 one particular label run on the rows that carry it.  A check passes when its
 worst residual over all trials stays at or below the tolerance it was run
 with; the worst residual is NaN when any residual is, so a NaN never passes.
+A check with no rows at the trial count given, as `spinors.chirality_massless`
+at one trial, prints `max residual 0.000e+00  PASS`; it is not yet skipped.
 The acceptance tests re-run the same checks against the per-invariant
 tolerances they pin.
 """
@@ -50,18 +52,25 @@ class VerificationReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _result(name: str, residuals: list, tol: float) -> CheckResult:
-    """Result of the worst of a list of floats or of arrays of residuals:
-    NaN if any residual is NaN, 0 if there are none."""
-    if residuals and np.ndim(residuals[0]):
-        residuals = np.concatenate([np.ravel(r) for r in residuals])
-    worst = float(np.max(np.asarray(residuals, dtype=float), initial=0.0))
-    return CheckResult(name=name, max_residual=worst, tol=tol, passed=worst <= tol)
+def _results(group: str, tol: float, **checks) -> list[CheckResult]:
+    """One result per keyword, named `group.keyword`; keyword order is report
+    order.  A check's parts are floats or arrays of residuals, and its worst
+    residual is the maximum over all of them, raveled and concatenated: NaN,
+    which fails, when any part holds a NaN, and 0.0, which passes, when there
+    are no parts or only empty ones."""
+    results = []
+    for name, parts in checks.items():
+        worst = float(np.max(np.concatenate([np.zeros(0), *map(np.ravel, parts)]),
+                             initial=0.0))
+        results.append(CheckResult(f"{group}.{name}", worst, tol, worst <= tol))
+    return results
 
 
-def _check_trials(trials: int):
+def _check_arguments(trials: int, tol: float):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def _rows(op: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -183,22 +192,16 @@ def _clifford_identities() -> tuple[tuple[float, ...], ...]:
 
 
 def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    _check_trials(trials)
+    _check_arguments(trials, tol)
     anti, herm, g5p, a5sq, wmap, block = _clifford_identities()
-    return [
-        _result("clifford.anticommutation", anti, tol),
-        _result("clifford.hermiticity", herm, tol),
-        _result("clifford.gamma5_product", g5p, tol),
-        _result("clifford.alpha5_square", a5sq, tol),
-        _result("clifford.weyl_map", wmap, tol),
-        _result("clifford.spin_block", block, tol),
-    ]
+    return _results("clifford", tol, anticommutation=anti, hermiticity=herm, gamma5_product=g5p,
+                    alpha5_square=a5sq, weyl_map=wmap, spin_block=block)
 
 
 # -------------------------------------------------------------- kinematics
 
 def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    _check_trials(trials)
+    _check_arguments(trials, tol)
     u_m, u_k, u_e1, u_e2, u_mm, u_z1, u_z2, *u_dirs = _uniforms(
         seed, "kinematics", _INPUTS, trials, 13)
     dual_dirs, boost_dirs, axes = (_directions(u_dirs[j], u_dirs[j + 1]) for j in (0, 2, 4))
@@ -253,19 +256,14 @@ def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     q_once = kinematics._boost_arrays(p4, n, z1 + z2)
     bcomp = [np.max(np.abs(q12 - q_once), axis=1)
              / np.maximum(1.0, np.max(np.abs(q_once), axis=1))]
-    return [
-        _result("kinematics.shell_roundtrip", shell, tol),
-        _result("kinematics.dual_momentum", dual, tol),
-        _result("kinematics.speeds", speed, tol),
-        _result("kinematics.boost_invariance", binv, tol),
-        _result("kinematics.boost_composition", bcomp, tol),
-    ]
+    return _results("kinematics", tol, shell_roundtrip=shell, dual_momentum=dual, speeds=speed,
+                    boost_invariance=binv, boost_composition=bcomp)
 
 
 # ----------------------------------------------------------------- spinors
 
 def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    _check_trials(trials)
+    _check_arguments(trials, tol)
     (u_volume,) = _uniforms(seed, "spinors", _INPUTS, trials, 1)
     volumes = _scaled(u_volume, 0.1, 10.0)
 
@@ -315,22 +313,16 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             twin = spinors.group_amplitudes(g._replace(rep=Representation.STANDARD))
             repmap.append(spinors.proportionality_defect(
                 spinors.convert_representation(w, g.rep, Representation.STANDARD), twin))
-    return [
-        _result("spinors.dirac_solution", solution, tol),
-        _result("spinors.norm_convention", norm, tol),
-        _result("spinors.normalization_identity", normid, tol),
-        _result("spinors.helicity", hel, tol),
-        _result("spinors.chirality_massless", chir, tol),
-        _result("spinors.transcendent_decoupling", transc, tol),
-        _result("spinors.adjoint_equation", adjoint, tol),
-        _result("spinors.representation_map", repmap, tol),
-    ]
+    return _results("spinors", tol, dirac_solution=solution, norm_convention=norm,
+                    normalization_identity=normid, helicity=hel, chirality_massless=chir,
+                    transcendent_decoupling=transc, adjoint_equation=adjoint,
+                    representation_map=repmap)
 
 
 # ------------------------------------------------------------- observables
 
 def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    _check_trials(trials)
+    _check_arguments(trials, tol)
     dual, vclosed, vbar, sbar, cons, herm, eig = ([] for _ in range(7))
     for g in random_spec(seed, "observables", trials, massive=True):
         w = spinors.group_amplitudes(g)
@@ -365,15 +357,9 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             g5_h_g5 = (h.reshape(-1, 16) @ _gamma5_maps(g.rep)[1]).reshape(h.shape)
             herm.append(np.linalg.norm(g5_h_g5 - h_dag, axis=(1, 2)))
         eig.append(observables.energy_eigencheck(g, w, h))
-    return [
-        _result("observables.velocity_duality", dual, tol),
-        _result("observables.velocity_closed_form", vclosed, tol),
-        _result("observables.four_velocity", vbar, tol),
-        _result("observables.spin_four_vector", sbar, tol),
-        _result("observables.constraints", cons, tol),
-        _result("observables.hamiltonian_adjoint", herm, tol),
-        _result("observables.energy_eigencheck", eig, tol),
-    ]
+    return _results("observables", tol, velocity_duality=dual, velocity_closed_form=vclosed,
+                    four_velocity=vbar, spin_four_vector=sbar, constraints=cons,
+                    hamiltonian_adjoint=herm, energy_eigencheck=eig)
 
 
 # -------------------------------------------------------------- symmetries
@@ -400,7 +386,7 @@ def _symmetry_identities() -> tuple[tuple[float, ...], ...]:
 
 
 def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
-    _check_trials(trials)
+    _check_arguments(trials, tol)
     unit, pct = _symmetry_identities()
 
     u_z, u_phi, u_zeta, u_zeta2, *u_gen = _uniforms(seed, "symmetries", _INPUTS, trials, 20)
@@ -422,14 +408,8 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             g5comm.append(np.linalg.norm(s_g5_minus_g5_s, axis=(1, 2)))
         structure.append(np.linalg.norm(s_fin @ s2 - s12, axis=(1, 2)))
         structure.append(np.abs(np.linalg.det(s_fin) - 1.0))
-    return [
-        _result("symmetries.unitarity", unit, tol),
-        _result("symmetries.pct_product", pct, tol),
-        _result("symmetries.intertwining", inter, tol),
-        _result("symmetries.boost_covariance", bcov, tol),
-        _result("symmetries.gamma5_commutation", g5comm, tol),
-        _result("symmetries.boost_structure", structure, tol),
-    ]
+    return _results("symmetries", tol, unitarity=unit, pct_product=pct, intertwining=inter,
+                    boost_covariance=bcov, gamma5_commutation=g5comm, boost_structure=structure)
 
 
 @functools.lru_cache(maxsize=None)
@@ -443,9 +423,7 @@ def symmetry_notes() -> tuple[str, ...]:
 
 def run_all(seed: int, trials: int, tol: float) -> VerificationReport:
     """Every invariant group of every module, one seeded pass."""
-    _check_trials(trials)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_arguments(trials, tol)
     checks = (clifford_checks(seed, trials, tol)
               + kinematics_checks(seed, trials, tol)
               + spinor_checks(seed, trials, tol)

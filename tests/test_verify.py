@@ -237,6 +237,30 @@ def test_a_single_trial_runs():
     assert len(report.checks) == 32
 
 
+FAMILIES = (verify.run_all, verify.clifford_checks, verify.kinematics_checks,
+            verify.spinor_checks, verify.observable_checks, verify.symmetry_checks)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("run", FAMILIES, ids=[f.__name__ for f in FAMILIES])
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused(monkeypatch, run, tol):
+    def no_draw(*args):
+        raise AssertionError("an input was drawn")
+
+    monkeypatch.setattr(verify, "_uniforms", no_draw)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        run(SEED, 5, tol)
+
+
+def test_the_reduction_keeps_report_order_and_propagates_nan():
+    results = verify._results("g", 0.5, b=[0.25, np.array([[0.5], [0.125]])],
+                              a=[np.array([0.75, math.nan])], none=[], empty=[np.zeros((0, 4))])
+    assert [r.name for r in results] == ["g.b", "g.a", "g.none", "g.empty"]
+    assert [r.passed for r in results] == [True, False, True, True]
+    assert results[0].max_residual == 0.5 and math.isnan(results[1].max_residual)
+    assert results[2].max_residual == results[3].max_residual == 0.0
+
+
 # ------------------------------------------------------------- golden grid
 
 GOLDEN = Path(__file__).parent / "golden"
