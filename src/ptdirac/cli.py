@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -287,8 +288,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+# A long option without its value, and a value that starts like a negative
+# number: -.5,0,2, -1,0,0 or -1e-3, which argparse takes for an option.
+_OPTION = re.compile(r"--\w[\w-]*")
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each `--option -value` pair, the value starting like a
+    negative number, spelled `--option=-value`, so that both spellings parse
+    alike; --help and its prefixes take no value and are left alone."""
+    out = []
+    for token in argv:
+        if (out and _NEGATIVE.match(token) and _OPTION.fullmatch(out[-1])
+                and not "--help".startswith(out[-1])):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     # looked up on each call, so that a replaced command function is called
     command = {"dispersion": cmd_dispersion, "spinor": cmd_spinor, "expect": cmd_expect,
                "transform": cmd_transform, "verify": cmd_verify}[args.command]

@@ -96,32 +96,24 @@ class GammaSet(NamedTuple):
     discrete: tuple[np.ndarray, np.ndarray]
 
 
-# The built sets by the id of their member.  Only members are stored, and a
-# member lives as long as its class, so no other live object has a stored id;
-# every object has an id, so an unhashable basis gets the same ValueError as
-# any other unknown one.
-_GAMMA_SETS: dict[int, GammaSet] = {}
-
-
 def gamma_set(rep: Representation) -> GammaSet:
-    """The gamma matrices of the requested representation, built once."""
-    gs = _GAMMA_SETS.get(id(rep))
-    if gs is None:
-        gs = _GAMMA_SETS[id(rep)] = _build_gamma_set(rep)
-    return gs
+    """The gamma matrices of the requested representation, built once.  Any
+    other basis, unhashable ones included, raises ValueError."""
+    if not isinstance(rep, Representation):
+        raise ValueError(f"unknown representation {rep!r}")
+    return _build_gamma_set(rep)
 
 
+@functools.cache
 def _build_gamma_set(rep: Representation) -> GammaSet:
     if rep is Representation.STANDARD:
         g0 = _blocks(_ID2, _ZERO2, _ZERO2, -_ID2)
         gk = [_blocks(_ZERO2, s, -s, _ZERO2) for s in PAULI]
         g5 = _blocks(_ZERO2, _ID2, _ID2, _ZERO2)
-    elif rep is Representation.WEYL:
+    else:
         g0 = _blocks(_ZERO2, _ID2, _ID2, _ZERO2)
         gk = [_blocks(_ZERO2, -s, s, _ZERO2) for s in PAULI]
         g5 = _blocks(_ID2, _ZERO2, _ZERO2, -_ID2)
-    else:
-        raise ValueError(f"unknown representation {rep!r}")
     gammas = np.stack([g0, *gk])
     g0_g = g0 @ gammas
     alpha, alpha5, eye = g0_g[1:], g0 @ g5, np.eye(4)[None]

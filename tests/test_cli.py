@@ -428,6 +428,43 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+PT = ["--species", "pt", "--momentum", "0,0,2", "--mass", "1"]
+# each case as separate tokens and as --option=value: argparse alone reads a
+# separate -.5,0,2, -1,0,0 or -1e-3 as an option and the value as missing
+NEGATIVE_VALUES = [
+    (["spinor", "--species", "pt", "--momentum", "-.5,0,2", "--mass", "1"],
+     ["spinor", "--species", "pt", "--momentum=-.5,0,2", "--mass", "1"]),
+    (["expect", "--species", "bradyon", "--momentum", "-.5,0,2", "--mass", "1"],
+     ["expect", "--species", "bradyon", "--momentum=-.5,0,2", "--mass", "1"]),
+    (["transform", "--op", "boost", *PT, "--rapidity", "-1e-3", "--axis", "-1,0,0"],
+     ["transform", "--op", "boost", *PT, "--rapidity=-1e-3", "--axis=-1,0,0"]),
+    (["spinor", "--species", "pt", "--momentum", "0,0,2", "--mass", "-1e-3"],
+     ["spinor", "--species", "pt", "--momentum", "0,0,2", "--mass=-1e-3"]),
+]
+
+
+@pytest.mark.parametrize("tokens, joined", NEGATIVE_VALUES,
+                         ids=["spinor", "expect", "transform_boost", "negative_mass"])
+def test_a_negative_value_reads_alike_in_both_spellings(capsys, tokens, joined):
+    code, out, err = run_main(capsys, *tokens)
+    assert (code, out, err) == run_main(capsys, *joined)
+    if tokens[-1] == "-1e-3":
+        assert (code, out) == (2, "")
+        assert err == "error: mass must be finite and non-negative, got -0.001\n"
+    else:
+        assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("argv", [
+    ["spinor", "--species", "pt", "--momentum", "--mass", "1"],
+    ["transform", "--op", "boost", *PT, "--rapidity"],
+])
+def test_a_missing_value_is_still_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_main(capsys, *argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
 
 def test_tolerance_is_read_on_each_call(capsys):
     """The parser is built once, so a --tol given once must not become the

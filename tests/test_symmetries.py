@@ -330,12 +330,16 @@ def test_operators_reject_a_species_outside_the_enum(species):
     assert pct_phase(Species.BRADYON, STD) == pytest.approx(-1.0)
 
 
-@pytest.mark.parametrize("rep", [["x"], {"standard"}, "standard", None])
+@pytest.mark.parametrize("rep", [["x"], {"standard"}, "standard", None, 0])
 def test_operators_reject_a_basis_outside_the_enum(rep):
     """An unhashable basis gets the same error as any other unknown one."""
     bad = rf"unknown representation {re.escape(repr(rep))}"
     with pytest.raises(ValueError, match=bad):
+        gamma_set(rep)
+    with pytest.raises(ValueError, match=bad):
         discrete_operator(DiscreteKind.PARITY, Species.BRADYON, rep)
     with pytest.raises(ValueError, match=bad):
         lorentz_boost_spinor((0, 0, 1), 0.3, rep)
-    assert gamma_set(STD) is gamma_set(STD)
+    for good in (STD, WEYL):
+        assert gamma_set(good) is gamma_set(good)
+        assert gamma_set(good).rep is good

@@ -125,7 +125,7 @@ def test_one_trial_checks_every_anticommutator(monkeypatch, fresh_clifford_table
 
 # ------------------------------------------------ residuals that use no draw
 
-CACHED = ("_clifford_identities", "_symmetry_identities", "symmetry_notes")
+CACHED = ("_clifford_identities", "_symmetry_identities")
 
 
 def test_two_runs_in_one_process_give_equal_reports():
@@ -143,6 +143,10 @@ def test_draw_independent_residuals_are_computed_once(name):
     assert isinstance(result, tuple)
     assert result == cached.__wrapped__()
     assert cached.cache_info().misses == 1
+
+
+def test_the_pct_phase_note_is_read_from_the_symmetry_table():
+    assert verify.run_all(SEED, 1, TOL).notes is verify._symmetry_identities()[2]
 
 
 # ------------------------------------------------------------- drawn inputs
