@@ -194,5 +194,19 @@ def representation_change() -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., i, j)."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _norm(x: np.ndarray, axis=-1) -> np.ndarray:
+    """Euclidean norm along ``axis``; pass (-2, -1) for the Frobenius norm of
+    a matrix or of each matrix of a stack.  The operations of
+    ``np.linalg.norm(x, axis=axis)``, sqrt(add.reduce(Re(conj(x) x))), with
+    no BLAS call, so the sum's order does not depend on the CPU."""
+    return np.sqrt(np.add.reduce((np.conj(x) * x).real, axis=axis))
+
+
+def _rows(op: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """op @ w for a matrix op (i, j) or stacked ones (..., i, j) acting on
+    stacked vectors (..., j), the leading axes broadcast."""
+    return np.einsum("...ij,...j->...i", op, w)

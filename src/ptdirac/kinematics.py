@@ -16,6 +16,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .clifford import _norm
+
 # Relative slack for shell checks: |m * nhat| can land a couple of ulp below
 # m, which must still count as an admissible pseudotachyon momentum.
 SHELL_RTOL = 1e-12
@@ -225,7 +227,7 @@ def dual_momentum(p):
     """
     p = np.asarray(p, dtype=float)
     scale = np.ldexp(1.0, np.frexp(np.abs(p[..., 1:]).max(axis=-1))[1])
-    k = np.linalg.norm(p[..., 1:] / scale[..., None], axis=-1) * scale
+    k = _norm(p[..., 1:] / scale[..., None]) * scale
     if np.any(k == 0.0):
         raise ZeroMomentum("dual momentum undefined at |p| = 0")
     return np.concatenate([k[..., None], (p[..., 0] / k)[..., None] * p[..., 1:]], axis=-1)
@@ -265,7 +267,9 @@ def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
     Entry by entry these are the operations of the scalar law: v = eps/h and
     w = h/eps with h = math.hypot(eps, m), computed by `_hypot` (np.hypot
     differs from it in the last ulp on some inputs), u = sqrt(eps - m) sqrt(eps + m) / eps, and
-    u = v = w = 1 at m = 0.  Overflow leaves inf or NaN in a present entry.
+    u = v = w = 1 at m = 0.  Where m << eps the product of the square roots
+    can round above eps, so a finite u above 1 is set to 1.  Overflow leaves
+    inf or NaN in a present entry.
     """
     h = _hypot(eps, m)
     has_u = ~((eps < m) | (eps == 0.0))
@@ -276,6 +280,7 @@ def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
         v = np.where(massless, 1.0, eps / h)
         w = h / eps
     u = np.where(has_u, np.where(massless, 1.0, u), np.nan)
+    np.minimum(u, 1.0, out=u, where=u < np.inf)
     w = np.where(has_w, np.where(massless, 1.0, w), np.nan)
     return DispersionTable(eps, u, v, w, has_u, has_w)
 
@@ -294,7 +299,7 @@ def _unit_axis(axis) -> np.ndarray:
     if n.shape[-1:] != (3,):
         raise ValueError("axis must be a 3-vector")
     with np.errstate(over="ignore"):  # a huge axis squares to inf, not unit either
-        norm = np.sqrt(np.add.reduce(n * n, axis=-1))
+        norm = _norm(n)
     unit = abs(norm - 1.0) <= 1e-9  # False for a NaN norm too
     if np.count_nonzero(unit) != unit.size:
         worst = np.ravel(norm)[np.argmin(np.ravel(unit))]

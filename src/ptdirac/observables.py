@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import Representation, _with_term, contract, gamma_set
+from .clifford import Representation, _norm, _rows, _with_term, contract, gamma_set
 from .kinematics import FourVector, Species, _check_member, dual_momentum, minkowski_dot
 from .spinors import PlaneWaveSpec, amplitude
 
@@ -82,9 +82,8 @@ def energy_eigencheck(spec, w=None, h=None):
     sign = np.asarray(spec.energy_sign)[..., None]
     if h is None:
         h = hamiltonian(spec.species, sign * np.asarray(spec.momentum), spec.mass, spec.rep)
-    hw = np.einsum("...ij,...j->...i", h, w)
     target = sign * np.asarray(spec.epsilon)[..., None]
-    return np.linalg.norm(hw - target * w, axis=-1) / np.linalg.norm(w, axis=-1)
+    return _norm(_rows(h, w) - target * w) / _norm(w)
 
 
 def bilinears(w: np.ndarray, rep: Representation):

@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .clifford import (Representation, _four_components, _with_term, contract, gamma_set,
-                       representation_change)
+from .clifford import (Representation, _four_components, _norm, _rows, _with_term, contract,
+                       gamma_set, representation_change)
 from .kinematics import Species, ZeroMomentum, _check_member, energy_from_momentum
 
 
@@ -341,14 +341,8 @@ def dirac_operator(spec) -> np.ndarray:
 
 
 def relative_residual(op: np.ndarray, w: np.ndarray):
-    """|op w| / |w| of a bispinor, or row by row of stacked operators and bispinors.
-
-    The norms are the operations of ``np.linalg.norm(x, axis=-1)``,
-    sqrt(add.reduce(Re(conj(x) x))), written out.
-    """
-    r = np.einsum("...ij,...j->...i", op, w)
-    return (np.sqrt(np.add.reduce((r.conj() * r).real, axis=-1))
-            / np.sqrt(np.add.reduce((w.conj() * w).real, axis=-1)))
+    """|op w| / |w| of a bispinor, or row by row of stacked operators and bispinors."""
+    return _norm(_rows(op, w)) / _norm(w)
 
 
 def solution_residual(spec, w: Optional[np.ndarray] = None):
@@ -421,10 +415,9 @@ def proportionality_defect(a: np.ndarray, b: np.ndarray) -> float:
     """
     a, b = (x / np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1])
             for x in (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
-    na = np.linalg.norm(a, axis=-1, keepdims=True)
-    nb = np.linalg.norm(b, axis=-1, keepdims=True)
+    na, nb = _norm(a)[..., None], _norm(b)[..., None]
     if not (np.all(na != 0.0) and np.all(nb != 0.0)):
         raise ValueError("proportionality defect undefined for zero vectors")
     ah, bh = a / na, b / nb
     overlap = np.einsum("...i,...i->...", ah.conj(), bh)[..., None]
-    return np.linalg.norm(bh - ah * overlap, axis=-1)
+    return _norm(bh - ah * overlap)

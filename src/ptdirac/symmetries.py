@@ -25,7 +25,8 @@ import enum
 
 import numpy as np
 
-from .clifford import METRIC, PAIRS, Representation, _with_term, contract, dagger, gamma_set
+from .clifford import (METRIC, PAIRS, Representation, _norm, _rows, _with_term, contract, dagger,
+                       gamma_set)
 from .kinematics import Species, _boost_arrays, _check_member, _cosh_sinh, _unit_axis
 from .spinors import PlaneWaveSpec, _memoized, amplitude, relative_residual, wave_operator
 
@@ -183,7 +184,7 @@ def first_order_covariance_residual(delta_omega,
     s = lorentz_generator(d, rep)
     a = np.eye(4) + METRIC @ d  # a[mu, nu] = delta + domega_mu^nu
     lhs = contract(a.T, gs.gammas) @ s  # row nu: gamma^mu a[mu, nu] S
-    return float(np.linalg.norm(lhs - s @ gs.gammas, axis=(1, 2)).max())
+    return float(_norm(lhs - s @ gs.gammas, axis=(-2, -1)).max())
 
 
 def _boost_spinors(n: np.ndarray, ch, sh, rep: Representation) -> np.ndarray:
@@ -219,7 +220,7 @@ def apply_boost(spec, axis, rapidity, w=None) -> tuple[np.ndarray, float]:
         w = amplitude(spec)
     zeta = np.asarray(rapidity, dtype=float)
     ch, sh = _cosh_sinh(np.array([zeta / 2.0, zeta]))
-    transformed = np.einsum("...ij,...j->...i", _boost_spinors(n, ch[0], sh[0], spec.rep), w)
+    transformed = _rows(_boost_spinors(n, ch[0], sh[0], spec.rep), w)
     q = _boost_arrays(spec.four_momentum, n, zeta, (ch[1], sh[1]))
     target = wave_operator(spec, q, spec.energy_sign * spec.mass)
     return transformed, relative_residual(target, transformed)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import clifford, kinematics, observables, spinors, symmetries
-from .clifford import METRIC, PAULI, Representation, dagger, gamma_set
+from .clifford import METRIC, PAULI, Representation, _norm, _rows, dagger, gamma_set
 from .kinematics import Species, minkowski_dot
 from .spinors import SpecGroup
 
@@ -72,11 +72,6 @@ def _check_arguments(trials: int, tol: float):
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-
-
-def _rows(op: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """op[n] @ w[n] for every row n."""
-    return np.einsum("nij,nj->ni", op, w)
 
 
 @functools.cache
@@ -165,31 +160,22 @@ def _clifford_identities() -> tuple[tuple[float, ...], ...]:
     for rep in Representation:
         gs = gamma_set(rep)
         ab = gs.gammas[:, None] @ gs.gammas[None]
-        defects = ab + np.swapaxes(ab, 0, 1) - 2.0 * METRIC[:, :, None, None] * np.eye(4)
-        anti.extend(np.linalg.norm(defects, axis=(2, 3)).ravel())
-        herm.append(np.linalg.norm(dagger(gs.gammas[0]) - gs.gammas[0]))
-        for k in (1, 2, 3):
-            herm.append(np.linalg.norm(dagger(gs.gammas[k]) + gs.gammas[k]))
-        herm.append(np.linalg.norm(dagger(gs.gamma5) - gs.gamma5))
-        g5p.append(np.linalg.norm(
-            gs.gamma5 - 1j * gs.gammas[0] @ gs.gammas[1] @ gs.gammas[2] @ gs.gammas[3]))
-        g5p.append(np.linalg.norm(gs.gamma5 @ gs.gamma5 - np.eye(4)))
-        a5sq.append(np.linalg.norm(gs.alpha5 @ gs.alpha5 + np.eye(4)))
+        anti.extend(ab + np.swapaxes(ab, 0, 1) - 2.0 * METRIC[:, :, None, None] * np.eye(4))
+        herm += [dagger(gs.gammas[0]) - gs.gammas[0], *(dagger(gs.gammas[1:]) + gs.gammas[1:]),
+                 dagger(gs.gamma5) - gs.gamma5]
+        g5p += [gs.gamma5 - 1j * gs.gammas[0] @ gs.gammas[1] @ gs.gammas[2] @ gs.gammas[3],
+                gs.gamma5 @ gs.gamma5 - np.eye(4)]
+        a5sq.append(gs.alpha5 @ gs.alpha5 + np.eye(4))
 
     w = clifford.representation_change()
     gw, gstd = gamma_set(Representation.WEYL), gamma_set(Representation.STANDARD)
-    wmap = [np.linalg.norm(w @ w - np.eye(4)), np.linalg.norm(dagger(w) @ w - np.eye(4))]
-    for mu in range(4):
-        wmap.append(np.linalg.norm(w @ gw.gammas[mu] @ w - gstd.gammas[mu]))
-    wmap.append(np.linalg.norm(w @ gw.gamma5 @ w - gstd.gamma5))
-
-    block = []
-    for i, s in enumerate(PAULI):
-        expected = np.block([[s, np.zeros((2, 2))], [np.zeros((2, 2)), s]])
-        block.append(np.abs(gstd.sigma_spin[i] - expected).max())
-        block.append(np.linalg.norm(gstd.sigma_spin[i] - gstd.alpha[i] @ gstd.gamma5))
-
-    return tuple(map(tuple, (anti, herm, g5p, a5sq, wmap, block)))
+    wmap = [w @ w - np.eye(4), dagger(w) @ w - np.eye(4), *(w @ gw.gammas @ w - gstd.gammas),
+            w @ gw.gamma5 @ w - gstd.gamma5]
+    spin = gstd.sigma_spin - gstd.alpha @ gstd.gamma5
+    anti, herm, g5p, a5sq, wmap, spin = (_norm(np.array(d), axis=(-2, -1)).ravel()
+                                         for d in (anti, herm, g5p, a5sq, wmap, spin))
+    block = [np.abs(gstd.sigma_spin[i] - np.kron(np.eye(2), s)).max() for i, s in enumerate(PAULI)]
+    return tuple(map(tuple, (anti, herm, g5p, a5sq, wmap, [*block, *spin])))
 
 
 def clifford_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
@@ -272,7 +258,7 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     for g in random_spec(seed, "spinors", trials):
         gs = gamma_set(g.rep)
         w = spinors.group_amplitudes(g)
-        nw = np.linalg.norm(w, axis=1)
+        nw = _norm(w)
         n2 = np.einsum("ni,ni->n", w.conj(), w).real
         h = g.helicity_eigenvalue[:, None]
         solution.append(spinors.solution_residual(g, w))
@@ -282,34 +268,32 @@ def spinor_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
 
         sigma_p = clifford.contract(g.momentum, gs.sigma_spin)
         lam_op = sigma_p / g.k[:, None, None]
-        hel.append(np.linalg.norm(_rows(lam_op, w) - h * w, axis=1) / nw)
+        hel.append(_norm(_rows(lam_op, w) - h * w) / nw)
 
         standard = g.rep is Representation.STANDARD
         if g.species is Species.LUXON:
-            chir.append(np.linalg.norm(w @ gs.gamma5.T - h * w, axis=1) / nw)
+            chir.append(_norm(_rows(gs.gamma5, w) - h * w) / nw)
             if standard:
                 # massless positive-energy amplitudes coincide entrywise with
                 # the opposite-helicity negative-energy ones (up to sign)
                 u = g.energy_sign == 1
                 twin = spinors.group_amplitudes(
                     g._replace(energy_sign=-g.energy_sign, helicity=-g.helicity))
-                chir.append(np.linalg.norm(w[u] - g.helicity[u, None] * twin[u], axis=1)
-                            / nw[u])
+                chir.append(_norm(w[u] - g.helicity[u, None] * twin[u]) / nw[u])
         if g.species is Species.PSEUDOTACHYON and standard:
             at = g.epsilon == 0.0
             psig = sigma_p[at, :2, :2]  # p.sigma, the upper-left block of p.Sigma
             # the u-system decouples as (p.s - m) phi = (p.s + m) chi = 0;
             # the v-system carries the mirrored signs
             sm = (g.energy_sign[at] * g.mass[at])[:, None, None] * np.eye(2)
-            transc.append(np.linalg.norm(_rows(psig + sm, w[at, 2:]), axis=1) / nw[at])
-            transc.append(np.linalg.norm(_rows(psig - sm, w[at, :2]), axis=1) / nw[at])
+            transc.append(_norm(_rows(psig + sm, w[at, 2:])) / nw[at])
+            transc.append(_norm(_rows(psig - sm, w[at, :2])) / nw[at])
         if g.species is Species.PSEUDOTACHYON:
             u = g.energy_sign == 1
             wbar = w[u].conj() @ gs.gammas[0]
             # slash(p) + m gamma^5
             adj_op = spinors.wave_operator(g, g.four_momentum[u], -g.mass[u])
-            adjoint.append(np.linalg.norm(np.einsum("ni,nij->nj", wbar, adj_op), axis=1)
-                           / nw[u])
+            adjoint.append(_norm(_rows(np.swapaxes(adj_op, 1, 2), wbar)) / nw[u])
         if not standard:
             twin = spinors.group_amplitudes(g._replace(rep=Representation.STANDARD))
             repmap.append(spinors.proportionality_defect(
@@ -333,7 +317,7 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
             # the duality ratio amplifies bilinear roundoff by k/eps, so stay off
             # the transcendent point (which k > m excludes anyway)
             off = g.epsilon > 1e-4 * g.k
-            speed = np.linalg.norm(v[off], axis=1)
+            speed = _norm(v[off])
             dual.append(np.abs(speed * g.k[off] / g.epsilon[off] - 1.0))
             dual.append(np.maximum(0.0, speed - 1.0))
         vclosed.append(np.abs(v - observables.mean_velocity_closed_form(g)))
@@ -349,14 +333,14 @@ def observable_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         # H(sign p), the operator of the physical wave, for both checks
         h = observables.hamiltonian(g.species, g.energy_sign[:, None] * g.momentum, g.mass,
                                     g.rep)
-        h_dag = np.conj(np.swapaxes(h, 1, 2))
+        h_dag = dagger(h)
         if g.species is Species.BRADYON:
-            herm.append(np.linalg.norm(h - h_dag, axis=(1, 2)))
+            herm.append(_norm(h - h_dag, axis=(-2, -1)))
         else:
             # the m alpha^5 mass term is anti-hermitian: H is gamma^5
             # pseudo-hermitian, g5 H g5 = H^dag, with real shell spectrum
             g5_h_g5 = (h.reshape(-1, 16) @ _gamma5_maps(g.rep)[1]).reshape(h.shape)
-            herm.append(np.linalg.norm(g5_h_g5 - h_dag, axis=(1, 2)))
+            herm.append(_norm(g5_h_g5 - h_dag, axis=(-2, -1)))
         eig.append(observables.energy_eigencheck(g, w, h))
     return _results("observables", tol, velocity_duality=dual, velocity_closed_form=vclosed,
                     four_velocity=vbar, spin_four_vector=sbar, constraints=cons,
@@ -378,16 +362,17 @@ def _symmetry_identities() -> tuple[tuple, ...]:
         for species in (brad, pt):
             for kind in symmetries.DiscreteKind:
                 u = symmetries.discrete_operator(kind, species, rep)
-                unit.append(np.linalg.norm(dagger(u) @ u - np.eye(4)))
-        pct.append(np.linalg.norm(symmetries.pct_product(pt, rep)
-                                  - symmetries.discrete_operator(inversion, pt, rep)))
+                unit.append(dagger(u) @ u - np.eye(4))
+        pct.append(symmetries.pct_product(pt, rep)
+                   - symmetries.discrete_operator(inversion, pt, rep))
         phase = symmetries.pct_phase(brad, rep)
-        pct.append(np.linalg.norm(symmetries.pct_product(brad, rep)
-                                  - phase * symmetries.discrete_operator(inversion, brad, rep)))
+        pct.append(symmetries.pct_product(brad, rep)
+                   - phase * symmetries.discrete_operator(inversion, brad, rep))
         if rep is Representation.STANDARD:
             notes.append(f"bradyonic PCT phase relative to 4-inversion: "
                          f"{phase.real:+.12f}{phase.imag:+.12f}i")
-    return tuple(unit), tuple(pct), tuple(notes)
+    unit, pct = (tuple(_norm(np.array(d), axis=(-2, -1))) for d in (unit, pct))
+    return unit, pct, tuple(notes)
 
 
 def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
@@ -410,8 +395,8 @@ def symmetry_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
         s_fin, s2, s12 = symmetries.lorentz_boost_spinor(n, np.array([z, z2, z + z2]), g.rep)
         for s in (s_fin, symmetries.lorentz_generator(generators[g.rows], g.rep)):
             s_g5_minus_g5_s = (s.reshape(-1, 16) @ _gamma5_maps(g.rep)[0]).reshape(s.shape)
-            g5comm.append(np.linalg.norm(s_g5_minus_g5_s, axis=(1, 2)))
-        structure.append(np.linalg.norm(s_fin @ s2 - s12, axis=(1, 2)))
+            g5comm.append(_norm(s_g5_minus_g5_s, axis=(-2, -1)))
+        structure.append(_norm(s_fin @ s2 - s12, axis=(-2, -1)))
         structure.append(np.abs(np.linalg.det(s_fin) - 1.0))
     return _results("symmetries", tol, unitarity=unit, pct_product=pct, intertwining=inter,
                     boost_covariance=bcov, gamma5_commutation=g5comm, boost_structure=structure)

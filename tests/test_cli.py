@@ -96,6 +96,8 @@ def reference_csv(m, eps_min, eps_max, steps, precision):
             v, w = eps / h, h / eps
             if eps >= m:
                 u = math.sqrt(max(eps - m, 0.0)) * math.sqrt(eps + m) / eps
+                if 1.0 < u < math.inf:  # rounded above 1 where m << eps
+                    u = 1.0
         fields = (eps, u, v, w)
         if not all(math.isfinite(x) for x in fields if x is not None):
             return None
@@ -140,13 +142,14 @@ def test_dispersion_bytes_match_the_row_reference(m, x, steps, precision):
     (1e-7, 0.0, 1e-3, 301, 9),                       # fixed/scientific switch at 1e-4
     (1e290, 0.0, 3e290, 40, 12),                     # exponents beyond the scaled range
     (1e17, 0.0, 3e17, 61, 17),                       # p = 17 with eps crossing 10^17
+    (1e-9, 1.0, 1e3, 1000, 17),                      # u rounds above 1 where m << eps
     # the same through the array hypot, past its size switch and a block
     (0.0, 0.0, 5e-324, HYPOT_ROWS, 9),
     (1e290, 0.0, 3e290, HYPOT_ROWS, 12),
     (1e17, 0.0, 3e17, HYPOT_ROWS, 17),
 ], ids=["minus-zero", "zero-rows", "eps-min-at-m", "chunks", "sci-switch", "scale-1e290",
-        "p17-crossing-1e17", "zero-rows-array-hypot", "scale-1e290-array-hypot",
-        "p17-crossing-1e17-array-hypot"])
+        "p17-crossing-1e17", "u-at-light-speed", "zero-rows-array-hypot",
+        "scale-1e290-array-hypot", "p17-crossing-1e17-array-hypot"])
 def test_dispersion_edge_bytes_to_stdout_and_file(tmp_path, m, eps_min, eps_max, steps,
                                                   precision):
     argv = ["dispersion", "--mass", repr(m), "--eps-min", repr(eps_min), "--eps-max",

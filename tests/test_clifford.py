@@ -6,6 +6,8 @@ from ptdirac.clifford import (
     PAIRS,
     PAULI,
     Representation,
+    _norm,
+    _rows,
     contract,
     dagger,
     gamma_set,
@@ -261,6 +263,33 @@ def test_matrix_primitives(std, rng):
     assert np.array_equal(dagger(a), a.conj().T)
     assert np.array_equal(dagger(dagger(a)), a)
     assert np.array_equal(std.gammas[0] @ std.gamma5, std.alpha5)
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_dagger_of_a_stack_is_the_dagger_of_each_matrix(rep, rng):
+    gs = gamma_set(rep)
+    for stack in (gs.gammas, gs.sigma_pairs, gs.wave[0]):
+        for i, m in enumerate(stack):
+            assert np.array_equal(dagger(stack)[i], dagger(m))
+    a = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    assert np.array_equal(dagger(a)[1, 2], a[1, 2].conj().T)
+
+
+@pytest.mark.parametrize("shape", [(4,), (7, 4), (2, 3, 4), (5, 4, 4), (2, 3, 4, 4)])
+def test_norm_is_numpy_norm_bit_for_bit(shape, rng):
+    for scale in (1.0, 1e-160, 1e150):
+        x = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for a in (x, x.real):
+            assert np.array_equal(_norm(a), np.linalg.norm(a, axis=-1))
+            if a.ndim >= 2:
+                assert np.array_equal(_norm(a, axis=(-2, -1)), np.linalg.norm(a, axis=(-2, -1)))
+
+
+def test_rows_act_on_each_row(std, rng):
+    w = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    ops = std.gammas[np.arange(6) % 4]
+    assert np.array_equal(_rows(std.gamma5, w), np.array([std.gamma5 @ v for v in w]))
+    assert np.array_equal(_rows(ops, w), np.array([op @ v for op, v in zip(ops, w)]))
 
 
 def test_anticommutation_seeded_trials():

@@ -154,6 +154,8 @@ def test_speeds_spot_values():
     assert abs(s.u - math.sqrt(7.0) / 4.0) <= 1e-15
     assert abs(s.v - 0.8) <= 1e-15
     assert abs(s.w - 1.25) <= 1e-15
+    # sqrt(eps - m) sqrt(eps + m) rounds above eps = 2 at m = 1e-9
+    assert speeds(2.0, 1e-9).u == 1.0
 
 
 def test_speeds_massless_all_light_speed():
@@ -183,6 +185,16 @@ def test_speed_bounds_and_duality(eps, m):
     assert abs(s.v * s.w - 1.0) <= 1e-13
     if s.u is not None:
         assert 0.0 <= s.u < 1.0
+
+
+@given(eps=st.floats(min_value=1e-3, max_value=1e3, **finite),
+       log_ratio=st.floats(min_value=-300.0, max_value=0.0, **finite))
+@settings(max_examples=300, deadline=None)
+def test_speeds_stay_in_range_down_to_tiny_masses(eps, log_ratio):
+    s = speeds(eps, eps * 10.0 ** log_ratio)
+    assert 0.0 <= s.u <= 1.0
+    assert 0.0 <= s.v <= 1.0
+    assert s.w >= 1.0
 
 
 @given(m=st.floats(min_value=1e-2, max_value=100.0, **finite),

@@ -14,7 +14,7 @@ from ptdirac.observables import (
     mean_velocity,
     mean_velocity_closed_form,
 )
-from ptdirac.spinors import PlaneWaveSpec
+from ptdirac.spinors import PlaneWaveSpec, amplitude
 
 STD = Representation.STANDARD
 WEYL = Representation.WEYL
@@ -77,7 +77,10 @@ def test_pt_hamiltonian_pseudo_hermitian():
 @pytest.mark.parametrize("spec", [PT_SPEC, BR_SPEC])
 def test_energy_eigencheck(spec, sign):
     from dataclasses import replace
-    assert energy_eigencheck(replace(spec, energy_sign=sign)) <= 1e-12
+    spec = replace(spec, energy_sign=sign)
+    assert energy_eigencheck(spec) <= 1e-12
+    # an amplitude given as a plain list is checked alike
+    assert energy_eigencheck(spec, amplitude(spec).tolist()) == energy_eigencheck(spec)
 
 
 # ---------------------------------------------------------------- mean velocity
