@@ -3,9 +3,12 @@
 Three families of free particles are covered: bradyons (eps^2 = k^2 + m^2),
 pseudotachyons (eps^2 = k^2 - m^2, which forces |p| >= m in every frame), and
 massless luxons (eps = k).  The pseudotachyon point eps = 0, k = m (the
-"transcendent" state) is fully supported.  The dispersion speeds at fixed
-energy have one implementation, a law over arrays of energies: `speeds` is
-that law at one energy and `dispersion_table` returns its columns over a grid.
+"transcendent" state) is fully supported.  The pseudotachyon shell is the
+bradyon shell with eps and k exchanged, so `energy_from_momentum` of either
+reads k back from the eps of the other (verify's shell roundtrip does so).
+The dispersion speeds at fixed energy have one implementation, a law over
+arrays of energies: `speeds` is that law at one energy and
+`dispersion_table` returns its columns over a grid.
 """
 from __future__ import annotations
 

@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import Representation, _norm, _rows, _with_term, contract, gamma_set
+from .clifford import Representation, _with_term, contract, gamma_set
 from .kinematics import FourVector, Species, _check_member, dual_momentum, minkowski_dot
-from .spinors import PlaneWaveSpec, amplitude
+from .spinors import PlaneWaveSpec, amplitude, relative_residual
 
 # w^dag w below which the subnormal rounding of one product of entries, up to
 # 2^-1075, exceeds 2^-106 of it
@@ -82,8 +82,7 @@ def energy_eigencheck(spec, w=None, h=None):
     sign = np.asarray(spec.energy_sign)[..., None]
     if h is None:
         h = hamiltonian(spec.species, sign * np.asarray(spec.momentum), spec.mass, spec.rep)
-    target = sign * np.asarray(spec.epsilon)[..., None]
-    return _norm(_rows(h, w) - target * w) / _norm(w)
+    return relative_residual(h, w, sign * np.asarray(spec.epsilon)[..., None])
 
 
 def bilinears(w: np.ndarray, rep: Representation):
@@ -168,10 +167,9 @@ def four_vector_closed_forms(spec) -> tuple[np.ndarray, np.ndarray]:
     return dual / m, h * p4 / m
 
 
-_CONSTRAINT_NAMES = {
-    Species.BRADYON: ("p2_minus_m2", "p_dot_v_minus_m", "p_dot_s"),
-    Species.PSEUDOTACHYON: ("p2_plus_m2", "p_dot_v", "p_dot_s_plus_m_lambda"),
-}
+# indexed by `species is Species.BRADYON`
+_CONSTRAINT_NAMES = (("p2_plus_m2", "p_dot_v", "p_dot_s_plus_m_lambda"),
+                     ("p2_minus_m2", "p_dot_v_minus_m", "p_dot_s"))
 
 
 def constraint_values(spec, vbar: np.ndarray, sbar: np.ndarray) -> np.ndarray:
@@ -199,8 +197,7 @@ def expectation_report(spec: PlaneWaveSpec) -> ExpectationReport:
     if np.count_nonzero(np.isfinite(residuals)) != residuals.size:
         raise ValueError("constraint residuals out of floating-point range at "
                          f"|p| = {spec.k!r}, m = {spec.mass!r}")
-    names = _CONSTRAINT_NAMES[Species.BRADYON if spec.species is Species.BRADYON
-                              else Species.PSEUDOTACHYON]
+    names = _CONSTRAINT_NAMES[spec.species is Species.BRADYON]
     return ExpectationReport(
         mean_velocity=tuple(mean_velocity(spec, b).tolist()),
         mean_four_velocity=FourVector.from_array(vbar),

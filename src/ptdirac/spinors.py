@@ -121,15 +121,6 @@ def _label_columns(energy_sign, helicity, n: int) -> tuple[np.ndarray, np.ndarra
     return sign, lam
 
 
-def _out_of_range(species: Species, target) -> ValueError:
-    # the norm target 2 max(k, eps) (`norm_convention` of every species)
-    # bounds every sum under the square roots of the block factors (k + m,
-    # k + eps, eps + m), up to the SHELL_RTOL slack of m over k, so it is the
-    # one range to check
-    return ValueError(f"{species.value} plane wave out of floating-point range: "
-                      f"norm target w^dag w = {float(target)!r}")
-
-
 class SpecGroup(NamedTuple):
     """Plane-wave specs of one species and one basis, with their numbers and
     their other labels as arrays, one entry per spec.
@@ -192,10 +183,15 @@ class SpecGroup(NamedTuple):
         if np.count_nonzero(k) != k.size:
             raise ZeroMomentum(_ZERO_MOMENTUM)
         eps = energy_from_momentum(species, k, m)
+        # the norm target 2 max(k, eps) (`norm_convention` of every species)
+        # bounds every sum under the square roots of the block factors (k + m,
+        # k + eps, eps + m), up to the SHELL_RTOL slack of m over k, so it is
+        # the one range to check
         half_target = np.maximum(k, eps)
         ok = half_target <= _HALF_MAX
         if np.count_nonzero(ok) != ok.size:
-            raise _out_of_range(species, 2.0 * float(half_target[~ok][0]))
+            raise ValueError(f"{species.value} plane wave out of floating-point range: "
+                             f"norm target w^dag w = {2.0 * float(half_target[~ok][0])!r}")
         p4 = np.concatenate([eps[:, None], p], axis=1)
         p4.setflags(write=False)
         return cls(species, rep, rows=np.asarray(rows), energy_sign=sign, helicity=lam,
@@ -340,9 +336,12 @@ def dirac_operator(spec) -> np.ndarray:
     return wave_operator(spec, spec.four_momentum, spec.energy_sign * spec.mass)
 
 
-def relative_residual(op: np.ndarray, w: np.ndarray):
-    """|op w| / |w| of a bispinor, or row by row of stacked operators and bispinors."""
-    return _norm(_rows(op, w)) / _norm(w)
+def relative_residual(op: np.ndarray, w: np.ndarray, eigenvalue=None):
+    """|op w - lambda w| / |w| of a bispinor, or row by row of stacked operators
+    and bispinors; ``eigenvalue`` lambda is one value or one per row (..., 1),
+    and without it the residual is |op w| / |w|, with no subtraction."""
+    a = _rows(op, w)
+    return _norm(a if eigenvalue is None else a - eigenvalue * w) / _norm(w)
 
 
 def solution_residual(spec, w: Optional[np.ndarray] = None):

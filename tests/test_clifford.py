@@ -102,6 +102,13 @@ def test_slash_spatial_sign(std):
     assert np.array_equal(slash(std, (0, 0, 0, 1.0)), -std.gammas[3])
 
 
+def test_slash_rejects_a_three_vector(std):
+    with pytest.raises(ValueError) as info:
+        slash(std, [1.0, 2.0, 3.0])
+    assert type(info.value) is ValueError
+    assert str(info.value) == "expected a four-vector, got shape (3,)"
+
+
 def test_slash_squares_to_invariant(std):
     ps = slash(std, (4.0, 0.0, 0.0, 5.0))
     assert np.linalg.norm(ps @ ps - (16.0 - 25.0) * np.eye(4)) <= 1e-13

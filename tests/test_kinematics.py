@@ -149,6 +149,25 @@ def test_energy_from_momentum_over_arrays_rejects_like_the_scalar_law(species, k
         energy_from_momentum(species, np.array(k), np.array(m))
 
 
+def test_energy_from_momentum_rejects_a_species_outside_the_enum():
+    with pytest.raises(ValueError) as info:
+        energy_from_momentum("pt", 1.0, 0.5)
+    assert type(info.value) is ValueError and str(info.value) == "unknown species 'pt'"
+
+
+def test_exchanged_shells_invert_each_other_exactly_at_the_transcendent_point():
+    """The pseudotachyon shell is the bradyon shell with eps and k exchanged:
+    the bradyon law reads k = m back from the transcendent eps = 0, at every
+    scale, and the luxon law is its own inverse."""
+    m = np.logspace(-300, 300, 601)
+    eps = energy_from_momentum(Species.PSEUDOTACHYON, m, m)
+    assert np.array_equal(eps, np.zeros_like(m))
+    assert np.array_equal(energy_from_momentum(Species.BRADYON, eps, m), m)
+    zero = np.zeros_like(m)
+    back = energy_from_momentum(Species.LUXON, energy_from_momentum(Species.LUXON, m, zero), zero)
+    assert np.array_equal(back, m)
+
+
 def test_speeds_spot_values():
     s = speeds(4.0, 3.0)
     assert abs(s.u - math.sqrt(7.0) / 4.0) <= 1e-15

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptdirac.clifford import PAULI, Representation, dagger, gamma_set, representation_change
+from ptdirac.clifford import (PAULI, Representation, _norm, _rows, dagger, gamma_set,
+                              representation_change)
 from ptdirac.kinematics import (
     MassNotZero,
     NonPhysicalMomentum,
@@ -25,6 +26,7 @@ from ptdirac.spinors import (
     helicity_spinor,
     normalization_factor,
     proportionality_defect,
+    relative_residual,
     solution_residual,
 )
 
@@ -65,6 +67,16 @@ def test_helicity_spinor_rejects_a_direction_without_finite_norm(direction):
         for lam in (1, -1):
             with pytest.raises(ValueError, match="direction must have a finite norm"):
                 helicity_spinor(direction, lam)
+
+
+@pytest.mark.parametrize("direction,lam,message", [
+    ((0, 0, 1), 0, "lam must be +1 or -1, got 0"),
+    ((0, 1), 1, "direction must be a 3-vector"),
+], ids=["label", "shape"])
+def test_helicity_spinor_rejects_a_bad_label_or_shape(direction, lam, message):
+    with pytest.raises(ValueError) as info:
+        helicity_spinor(direction, lam)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_helicity_spinor_zero_direction_rejected():
@@ -352,6 +364,35 @@ def test_weyl_amplitude_is_stable_at_large_k_over_m(species, ratio):
 
 # ---------------------------------------------------------------- normalization
 
+# ------------------------------------------------------------ residuals
+
+def test_relative_residual_with_an_eigenvalue_is_the_written_out_form(rng):
+    """|op w - lambda w| / |w| bit for bit: one bispinor with one eigenvalue,
+    and stacked rows with one eigenvalue per row, shape (n, 1)."""
+    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    w = rng.normal(size=4) + 1j * rng.normal(size=4)
+    assert relative_residual(op, w, -1.5) == _norm(_rows(op, w) - (-1.5) * w) / _norm(w)
+    ops = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+    ws = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+    lam = rng.choice([-1.0, 1.0], size=(7, 1)) * rng.uniform(0.5, 2.0, size=(7, 1))
+    want = _norm(_rows(ops, ws) - lam * ws) / _norm(ws)
+    assert relative_residual(ops, ws, lam).tobytes() == want.tobytes()
+
+
+def test_relative_residual_without_an_eigenvalue_subtracts_nothing(rng):
+    """|op w| / |w|, the bytes of the form with no eigenvalue term, for the
+    Dirac operators of a group and for one operator broadcast over rows."""
+    g = SpecGroup.from_arrays(Species.PSEUDOTACHYON, WEYL, [1, -1, 1], [1, 1, -1],
+                              [(0.0, 0.0, 5.0), (1.0, 2.0, 3.0), (3.0, 0.0, 0.0)],
+                              [3.0, 1.5, 3.0], [0, 1, 2])
+    w = group_amplitudes(g)
+    assert solution_residual(g, w).tobytes() == (
+        _norm(_rows(dirac_operator(g), w)) / _norm(w)).tobytes()
+    ws = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    op = gamma_set(STD).gamma5
+    assert relative_residual(op, ws).tobytes() == (_norm(_rows(op, ws)) / _norm(ws)).tobytes()
+
+
 def test_normalization_factor_spots():
     assert abs(normalization_factor(pt()) - 1 / math.sqrt(10)) <= 1e-15
     assert abs(normalization_factor(bradyon(), volume=2.0) - 1 / math.sqrt(20)) <= 1e-15
@@ -390,6 +431,18 @@ def test_normalization_takes_one_volume_or_one_per_spec():
             normalization_factor(spec, volume)
 
 
+def test_normalization_factor_below_the_normal_range_is_a_range_error():
+    """The underflow side of the range check: 1/sqrt(2 eps V) is subnormal."""
+    spec = PlaneWaveSpec(Species.BRADYON, 1, (0, 0, 8e307), 0.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            normalization_factor(spec, 1.7e308)
+    assert type(info.value) is ValueError
+    assert str(info.value) == ("bradyon normalization factor out of floating-point range: "
+                               "1/sqrt(w^dag w V) = 6.06339062590833e-309")
+
+
 # ------------------------------------------------------- representation change
 
 def test_convert_representation_spot():
@@ -404,6 +457,13 @@ def test_convert_representation_rejects_a_basis_outside_the_enum(bad):
     for args in ((bad, STD), (STD, bad), (bad, bad)):
         with pytest.raises(ValueError, match=r"_rep must be a Representation"):
             convert_representation(vec, *args)
+
+
+def test_convert_representation_to_its_own_basis_is_a_writable_copy():
+    w = amplitude(pt())
+    out = convert_representation(w, STD, STD)
+    assert out is not w and not np.shares_memory(out, w)
+    assert out.flags.writeable and np.array_equal(out, w)
 
 
 def test_convert_representation_maps_each_row_of_a_stack_alone(rng):
@@ -488,6 +548,14 @@ def test_subnormal_row_is_computed_at_a_normal_scale(species):
                                                    [normal_p, normal_p], [normal_m] * 2, [0, 1]))
     assert w[1].tobytes() == alone[1].tobytes()
     assert np.array_equal(w[0], alone[0] * 2.0 ** -535)
+
+
+def test_proportionality_defect_of_a_zero_vector_is_an_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^proportionality defect undefined for zero "
+                                             "vectors$"):
+            proportionality_defect(np.zeros(4), amplitude(pt()))
 
 
 def test_proportionality_defect_orthogonal_vectors():
@@ -579,6 +647,13 @@ def test_group_from_arrays_rejects_bad_label_columns(sign, lam):
     with pytest.raises(ValueError, match="energy_sign|helicity"):
         SpecGroup.from_arrays(Species.BRADYON, STD, sign, lam, [(1.0, 2.0, 3.0), (0, 0, 1.0)],
                               [1.0, 2.0], [0, 1])
+
+
+def test_group_from_arrays_rejects_a_label_that_is_not_a_number():
+    with pytest.raises(ValueError) as info:
+        SpecGroup.from_arrays(Species.BRADYON, STD, "+", 1, [[0, 0, 1.0]], [1.0], [0])
+    assert type(info.value) is ValueError
+    assert str(info.value) == "energy_sign must be +1 or -1, got '+'"
 
 
 def test_group_label_columns_take_one_label_or_one_per_spec():

@@ -182,6 +182,13 @@ def test_generator_rejects_non_antisymmetric():
         lorentz_generator(bad)
 
 
+def test_generator_rejects_parameters_that_are_not_4x4():
+    with pytest.raises(ValueError) as info:
+        lorentz_generator(np.zeros((3, 3)))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "generator parameters must form a 4x4 matrix"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_generator_rejects_non_finite_parameters(bad):
     """NaN fails every comparison of the antisymmetry check, and a matrix full
@@ -234,6 +241,12 @@ def test_boost_spinor_zero_rapidity():
 def test_boost_spinor_rejects_non_unit_axis():
     with pytest.raises(ValueError):
         lorentz_boost_spinor((0, 0, 0.5), 1.0)
+
+
+def test_boost_spinor_rejects_an_axis_that_is_not_a_3_vector():
+    with pytest.raises(ValueError) as info:
+        lorentz_boost_spinor([0.0, 1.0], 0.5)
+    assert type(info.value) is ValueError and str(info.value) == "axis must be a 3-vector"
 
 
 def test_nan_rapidity_is_named_by_every_boost():
