@@ -100,14 +100,14 @@ def _exact_square(x, hi, lo, z, zz):
     np.add(hi, lo, out=zz)         # zz = p - z + q + lo*lo
 
 
-def _hypot_block(a, b, out, work, exponent) -> np.ndarray:
+def _hypot_block(a, b, out) -> np.ndarray:
     """CPython's two-argument ``vector_norm`` of the pairs of a and b into
     out, where the larger entry is a normal float; returns the indices of
     the other pairs, whose entries of out are not set."""
-    x, hi, lo, z, zz, csum, frac1, frac2 = work
+    x, lo, z, zz, csum, frac1, frac2 = np.empty((7, len(a)))
     np.maximum(a, b, out=x)
     odd = np.flatnonzero(~((x >= _DBL_MIN) & (x < math.inf)))  # 0, subnormal, inf, NaN
-    np.frexp(x, out=(hi, exponent))
+    hi, exponent = np.frexp(x)
     np.negative(exponent, out=exponent)
     np.ldexp(a, exponent, out=x)           # lossless scaling into [0, 1)
     _exact_square(x, hi, lo, z, frac1)     # frac1 = pr.lo
@@ -164,15 +164,10 @@ def _hypot(a, b) -> np.ndarray:
                            dtype=float, count=n).reshape(shape)
     a, b = a.reshape(-1), b.reshape(-1)
     out = np.empty(n)
-    size = min(n, _HYPOT_BLOCK)
-    work = [np.empty(size) for _ in range(8)]
-    exponent = np.empty(size, dtype=np.intc)
     with np.errstate(all="ignore"):
         for start in range(0, n, _HYPOT_BLOCK):
-            stop = min(start + _HYPOT_BLOCK, n)
-            used = stop - start
-            odd = _hypot_block(a[start:stop], b[start:stop], out[start:stop],
-                               [w[:used] for w in work], exponent[:used])
+            block = slice(start, start + _HYPOT_BLOCK)
+            odd = _hypot_block(a[block], b[block], out[block])
             for i in (odd + start).tolist():
                 out[i] = math.hypot(a[i], b[i])
     return out.reshape(shape)
@@ -198,8 +193,8 @@ def energy_from_momentum(species: Species, k, m):
     k, m = np.asarray(k, dtype=float), np.asarray(m, dtype=float)
     if k.shape != m.shape:
         k, m = np.broadcast_arrays(k, m)
-    if np.count_nonzero(np.minimum(k, m) < 0):
-        raise ValueError("k and m must be non-negative")
+    if np.count_nonzero(np.minimum(k, m) >= 0) != k.size:  # NaN fails too
+        raise ValueError("k and m must be non-negative numbers")
     if species is Species.BRADYON:
         eps = _hypot(k, m)
     elif species is Species.LUXON:

@@ -127,12 +127,13 @@ class SpecGroup(NamedTuple):
 
     Species and basis choose the closed forms and the gamma matrices, so they
     are scalars; ``energy_sign`` and ``helicity`` are (n,) columns of +-1,
-    ``momentum`` is (n, 3), ``k``, ``mass``, ``epsilon`` are (n,) and
-    ``four_momentum`` holds the read-only rows (eps; p), (n, 4).  A
+    ``k`` and ``mass`` are (n,), and ``four_momentum`` holds the rows (eps; p),
+    (n, 4), of which ``epsilon`` (n,) and ``momentum`` (n, 3) are views.  A
     `PlaneWaveSpec` is a group of one with the same attributes as scalars, so
     the functions documented to take "a spec or a group" compute one row per
     spec, each with its own labels.  ``rows`` holds the positions of the
-    specs in the sequence they came from.  Build groups with `from_arrays`.
+    specs in the sequence they came from.  Build groups with `from_arrays`,
+    whose groups own every array they hold, read-only.
     """
 
     species: Species
@@ -169,7 +170,7 @@ class SpecGroup(NamedTuple):
         """
         _check_member("species", species, Species)
         _check_member("rep", rep, Representation)
-        p, m = np.asarray(momentum, dtype=float), np.asarray(mass, dtype=float)
+        p, m = np.asarray(momentum, dtype=float), np.array(mass, dtype=float)
         # np.count_nonzero is the cheapest reduction on one-row groups
         if p.ndim != 2 or p.shape[1] != 3 or np.count_nonzero(np.isfinite(p)) != p.size:
             raise ValueError("momentum must be three finite components per spec")
@@ -192,14 +193,11 @@ class SpecGroup(NamedTuple):
         if np.count_nonzero(ok) != ok.size:
             raise ValueError(f"{species.value} plane wave out of floating-point range: "
                              f"norm target w^dag w = {2.0 * float(half_target[~ok][0])!r}")
-        p4 = np.concatenate([eps[:, None], p], axis=1)
-        p4.setflags(write=False)
-        return cls(species, rep, rows=np.asarray(rows), energy_sign=sign, helicity=lam,
-                   momentum=p, k=k, mass=m, epsilon=eps, four_momentum=p4)
-
-
-_ROW0 = np.zeros(1, dtype=int)
-_ROW0.setflags(write=False)
+        p4, rows = np.concatenate([eps[:, None], p], axis=1), np.array(rows)
+        for a in (rows, sign, lam, k, m, p4):
+            a.setflags(write=False)
+        return cls(species, rep, rows=rows, energy_sign=sign, helicity=lam, momentum=p4[:, 1:],
+                   k=k, mass=m, epsilon=p4[:, 0], four_momentum=p4)
 
 
 @dataclass(frozen=True)
@@ -211,11 +209,11 @@ class PlaneWaveSpec:
     label lambda; the actual helicity eigenvalue of the amplitude is
     ``helicity_eigenvalue`` = energy_sign * helicity.  Construction builds
     the spec's `SpecGroup` of one with `SpecGroup.from_arrays`, which
-    validates it and raises what that raises; ``k`` (|p|), ``epsilon``
-    (the shell energy) and ``four_momentum`` (eps; p) are read from its row
-    0, and `amplitude` computes row 0 of `group_amplitudes` on it.  The
-    amplitude and the discrete images are computed on first use and kept on
-    the spec, read-only.
+    validates it and raises what that raises; ``momentum``, ``mass``, ``k``
+    (|p|), ``epsilon`` (the shell energy) and ``four_momentum`` (eps; p) are
+    read from its row 0, and `amplitude` computes row 0 of `group_amplitudes`
+    on it.  The amplitude and the discrete images are computed on first use
+    and kept on the spec, read-only.
     """
 
     species: Species
@@ -227,8 +225,9 @@ class PlaneWaveSpec:
 
     def __post_init__(self):
         g = SpecGroup.from_arrays(self.species, self.rep, self.energy_sign, self.helicity,
-                                  [self.momentum], [self.mass], _ROW0)
+                                  [self.momentum], [self.mass], [0])
         object.__setattr__(self, "momentum", tuple(g.momentum[0].tolist()))
+        object.__setattr__(self, "mass", float(g.mass[0]))
         object.__setattr__(self, "_group", g)
         object.__setattr__(self, "_k", float(g.k[0]))
         object.__setattr__(self, "epsilon", float(g.epsilon[0]))

@@ -116,8 +116,9 @@ def apply_discrete(kind: DiscreteKind, spec, w=None) -> tuple[np.ndarray, float]
     `discrete_images`, so the four kinds of one spec cost one pass.  Only a
     `PlaneWaveSpec` keeps that pass: on a `SpecGroup` each call makes it
     again, so a caller that needs several kinds of a group should call
-    `discrete_images` once.
+    `discrete_images` once.  A ``kind`` outside `DiscreteKind` raises ValueError.
     """
+    _check_member("kind", kind, DiscreteKind)
     transformed, residuals = discrete_images(spec, w)
     i = _KIND_INDEX[kind]
     # [()] turns the 0-d residual of one spec into a float, as one norm gives
@@ -179,10 +180,8 @@ def first_order_covariance_residual(delta_omega,
     gamma^nu.  The defect is quadratic in the generator parameters: halving
     them divides the residual by four.
     """
-    d = _check_antisymmetric(delta_omega)
-    gs = gamma_set(rep)
-    s = lorentz_generator(d, rep)
-    a = np.eye(4) + METRIC @ d  # a[mu, nu] = delta + domega_mu^nu
+    s, gs = lorentz_generator(delta_omega, rep), gamma_set(rep)
+    a = np.eye(4) + METRIC @ np.asarray(delta_omega, dtype=float)  # delta + domega_mu^nu
     lhs = contract(a.T, gs.gammas) @ s  # row nu: gamma^mu a[mu, nu] S
     return float(_norm(lhs - s @ gs.gammas, axis=(-2, -1)).max())
 

@@ -149,6 +149,27 @@ def test_energy_from_momentum_over_arrays_rejects_like_the_scalar_law(species, k
         energy_from_momentum(species, np.array(k), np.array(m))
 
 
+@pytest.mark.parametrize("species,k,m", [
+    (Species.BRADYON, math.nan, 1.0),
+    (Species.PSEUDOTACHYON, math.nan, 1.0),
+    (Species.LUXON, 1.0, math.nan),
+    (Species.BRADYON, [2.0, math.nan], [1.0, 1.0]),
+    (Species.PSEUDOTACHYON, 2.0, -1.0),
+])
+def test_energy_from_momentum_rejects_a_negative_or_nan_argument(species, k, m):
+    with pytest.raises(ValueError) as info:
+        energy_from_momentum(species, k, m)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "k and m must be non-negative numbers"
+
+
+@pytest.mark.parametrize("species,m", [
+    (Species.BRADYON, 1.0), (Species.PSEUDOTACHYON, 1.0), (Species.LUXON, 0.0)])
+def test_energy_from_momentum_keeps_an_infinite_momentum(species, m):
+    """`SpecGroup.from_arrays` turns an overflowing |p| into its range error."""
+    assert energy_from_momentum(species, math.inf, m) == math.inf
+
+
 def test_energy_from_momentum_rejects_a_species_outside_the_enum():
     with pytest.raises(ValueError) as info:
         energy_from_momentum("pt", 1.0, 0.5)

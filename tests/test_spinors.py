@@ -16,6 +16,7 @@ from ptdirac.kinematics import (
     ZeroMomentum,
     energy_from_momentum,
 )
+from ptdirac.observables import expectation_report
 from ptdirac.spinors import (
     PlaneWaveSpec,
     SpecGroup,
@@ -29,6 +30,7 @@ from ptdirac.spinors import (
     relative_residual,
     solution_residual,
 )
+from ptdirac.symmetries import DiscreteKind, apply_discrete
 
 STD = Representation.STANDARD
 WEYL = Representation.WEYL
@@ -681,6 +683,63 @@ def test_group_replace_keeps_the_other_arrays():
     assert twin.energy_sign.tolist() == [-1, 1] and twin.helicity.tolist() == [-1, -1]
     for name in ("rows", "momentum", "k", "mass", "epsilon", "four_momentum"):
         assert getattr(twin, name) is getattr(g, name), name
+
+
+def test_group_keeps_its_numbers_when_the_caller_mutates_its_inputs():
+    """A pseudotachyon group whose caller flips p_x, changes the masses and
+    renumbers the rows after validation still solves its own wave equation,
+    with the very bytes it had."""
+    p = np.array([[0.6, 0.0, 5.0], [3.0, 0.0, 4.0]])
+    m, rows = np.array([3.0, 3.0]), np.array([4, 7])
+    g = SpecGroup.from_arrays(Species.PSEUDOTACHYON, WEYL, [1, -1], [1, -1], p, m, rows)
+    before = [a.tobytes() for a in g if isinstance(a, np.ndarray)]
+    residual, w = solution_residual(g), group_amplitudes(g).tobytes()
+    p[:, 0] *= -1.0
+    m[:] = 1.0
+    rows[:] = 0
+    assert [a.tobytes() for a in g if isinstance(a, np.ndarray)] == before
+    assert solution_residual(g).tobytes() == residual.tobytes()
+    assert group_amplitudes(g).tobytes() == w
+    assert residual.max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_group_owns_read_only_arrays_and_views_its_four_momentum(n):
+    """Every array of a group from `from_arrays` is read-only and none shares
+    memory with an input; `momentum` and `epsilon` are views of the one
+    (eps; p) block, so the three cannot disagree."""
+    p = np.array([[0.0, 0.0, 5.0], [0.0, 3.0, 4.0], [1.0, 2.0, 2.0]])[:n]
+    m, rows = np.full(n, 2.0), np.arange(n)
+    sign, lam = np.ones(n, dtype=int), -np.ones(n, dtype=int)
+    for labels in ((1, -1), (sign, lam)):
+        g = SpecGroup.from_arrays(Species.BRADYON, STD, *labels, p, m, rows)
+        arrays = {name: a for name, a in g._asdict().items() if isinstance(a, np.ndarray)}
+        assert set(arrays) == {"rows", "energy_sign", "helicity", "momentum", "k", "mass",
+                               "epsilon", "four_momentum"}
+        for name, a in arrays.items():
+            assert not a.flags.writeable, name
+            for given in (p, m, rows, sign, lam):
+                assert not np.shares_memory(a, given), name
+        for name, column in (("epsilon", 0), ("momentum", slice(1, None))):
+            assert np.shares_memory(arrays[name], g.four_momentum), name
+            assert arrays[name].tobytes() == g.four_momentum[:, column].tobytes(), name
+        assert g.momentum.tobytes() == p.tobytes()
+
+
+def test_spec_keeps_its_mass_as_the_float_of_its_group():
+    """A mass given as a string or an int is validated as its float, and the
+    spec keeps that float, so it equals, hashes, reports and transforms like
+    the spec built with 1.0."""
+    one = PlaneWaveSpec(Species.BRADYON, 1, (0, 0, 2), 1.0, 1)
+    for mass in ("1", 1, np.float32(1.0)):
+        spec = PlaneWaveSpec(Species.BRADYON, 1, (0, 0, 2), mass, 1)
+        assert type(spec.mass) is float and spec.mass == 1.0
+        assert spec == one and hash(spec) == hash(one)
+        assert repr(expectation_report(spec)) == repr(expectation_report(one))
+        for kind in DiscreteKind:
+            image, residual = apply_discrete(kind, spec)
+            want, want_residual = apply_discrete(kind, one)
+            assert image.tobytes() == want.tobytes() and residual == want_residual
 
 
 # ------------------------------------------------- batch kernel against N = 1

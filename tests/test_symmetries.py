@@ -67,6 +67,16 @@ def test_discrete_operators_are_rows_of_the_gamma_set_table(rep):
             discrete_operator(kind, Species.BRADYON, rep)
 
 
+@pytest.mark.parametrize("kind", ["P", None])
+def test_apply_discrete_rejects_a_kind_outside_the_enum_before_any_work(kind):
+    spec = PlaneWaveSpec(Species.PSEUDOTACHYON, 1, (0.0, 0.0, 5.0), 3.0, 1)
+    with pytest.raises(ValueError) as info:
+        apply_discrete(kind, spec)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"kind must be a DiscreteKind, got {kind!r}"
+    assert "_amplitude" not in spec.__dict__ and "_discrete_images" not in spec.__dict__
+
+
 def test_conjugation_flags():
     for kind, expected in [(DiscreteKind.PARITY, False),
                            (DiscreteKind.CHARGE_CONJUGATION, True),
