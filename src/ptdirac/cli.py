@@ -7,14 +7,8 @@ too large to allocate, tables above MAX_STEPS rows and verify runs above
 MAX_TRIALS trials), 3 I/O failure.
 A dispersion table is computed and checked in full before its output is
 opened, then written in chunks of CHUNK_ROWS rows.  Each chunk is formatted in
-one vectorized pass (`ptdirac.gformat`) whose bytes are still those of a
-row-by-row f"{x:.{precision}g}".  Up to precision 15 the product of each value
-and the double nearest its power of 10, within 2**-52 of the exact product,
-decides the rounding wherever it is more than 2**-51 from a tie or a decade
-bound; the rest, and every value at precision 16 and 17, go through a
-double-double pass that proves its rounding, with `%` as the per-value
-fallback where it cannot.  Digits are extracted in int32, split once at 10**8
-above 9 digits.
+one vectorized pass whose bytes are still those of a row-by-row
+f"{x:.{precision}g}"; `ptdirac.gformat` says how it rounds and extracts digits.
 Each command imports only the modules it runs: `verify`, `symmetries` and
 `gformat` are loaded by the commands that use them.
 `transform` and `verify` judge residuals against --tol, 1e-12 by default.
@@ -194,13 +188,7 @@ def _write_table(table: DispersionTable, precision: int, out) -> None:
     is nondecreasing).  Each chunk of a run goes through `gformat.format_block`
     in one pass over its present fields, rows x fields flattened, and the
     bytes are still those of a row-by-row `f"{x:.{precision}g}"` (`_fmt`), as
-    the table holds no -0.0.  `gformat._decimal` rounds in two stages: up to
-    precision 15 the high product x hi (hi the double nearest 10**s, within
-    2**-52 of the exact product) settles every value more than 2**-51 from a
-    tie or a decade bound; the rest, and all values at precision 16 and 17,
-    take the certified double-double pass, and `%` prints each value that
-    pass cannot decide.  `gformat._spans` extracts the digits in int32, split
-    once at 10**8 above 9 digits.
+    the table holds no -0.0; `ptdirac.gformat` says how they are produced.
     """
     from .gformat import format_block
 

@@ -18,10 +18,8 @@ import functools
 
 import numpy as np
 
-# Dekker's constant 2**27 + 1: with c = x * _SPLIT, xh = c - (c - x) and
-# x - xh are halves of x of at most 26 significant bits, so the products of
-# halves are exact.
-_SPLIT = 134217729.0
+from .kinematics import _VELTKAMP  # Dekker's split constant 2**27 + 1
+
 # Decimal exponents beyond this are printed by `%`: within it no split
 # overflows and no partial product of the scaling underflows.
 _EXP_RANGE = 270
@@ -40,7 +38,7 @@ def _pow10(s: int) -> tuple[float, float, float, float]:
     hi = num / den
     hi_num, hi_den = hi.as_integer_ratio()
     lo = (num * hi_den - hi_num * den) / (den * hi_den)
-    c = _SPLIT * hi
+    c = _VELTKAMP * hi
     hh = c - (c - hi)
     return hi, lo, hh, hi - hh
 
@@ -56,7 +54,7 @@ def _scaled(x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x * 10**s as a double-double ph + pl: Dekker's exact product of x and
     hi, plus x * lo."""
     i, (hi, lo, hh, hl) = _powers(s)
-    xh = _SPLIT * x
+    xh = _VELTKAMP * x
     xh -= xh - x
     xl = x - xh
     ph = x * hi.take(i)

@@ -266,8 +266,9 @@ def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
     w = h/eps with h = math.hypot(eps, m), computed by `_hypot` (np.hypot
     differs from it in the last ulp on some inputs), u = sqrt(eps - m) sqrt(eps + m) / eps, and
     u = v = w = 1 at m = 0.  Where m << eps the product of the square roots
-    can round above eps, so a finite u above 1 is set to 1.  Overflow leaves
-    inf or NaN in a present entry.
+    can round above eps, so a finite u above 1 is set to 1.  A present speed
+    out of floating-point range raises a ValueError naming the first such
+    energy and its mass.
     """
     h = _hypot(eps, m)
     has_u = ~((eps < m) | (eps == 0.0))
@@ -280,6 +281,12 @@ def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
     u = np.where(has_u, np.where(massless, 1.0, u), np.nan)
     np.minimum(u, 1.0, out=u, where=u < np.inf)
     w = np.where(has_w, np.where(massless, 1.0, w), np.nan)
+    finite = np.isfinite(v) & (np.isfinite(u) | ~has_u) & (np.isfinite(w) | ~has_w)
+    if np.count_nonzero(finite) != finite.size:
+        i = np.argmin(finite)
+        raise ValueError(f"dispersion speeds at epsilon = {float(eps[i])!r} "
+                         f"(m = {float(np.broadcast_to(m, eps.shape)[i])!r}) "
+                         "are out of floating-point range")
     return DispersionTable(eps, u, v, w, has_u, has_w)
 
 
@@ -358,8 +365,8 @@ def dispersion_table(m: float, eps_min: float, eps_max: float,
                      steps: int) -> DispersionTable:
     """Evenly spaced energy grid with the three dispersion-law speeds.
 
-    Raises ValueError when a present speed is not finite, that is when the
-    grid reaches energies whose speeds are out of floating-point range.
+    Raises the ValueError of the speed law when the grid reaches energies
+    whose speeds are out of floating-point range.
     """
     if not 0 <= m < math.inf:
         raise ValueError(f"m must be finite and non-negative, got {m}")
@@ -367,11 +374,4 @@ def dispersion_table(m: float, eps_min: float, eps_max: float,
         raise ValueError(f"need 0 <= eps_min < eps_max < inf, got [{eps_min}, {eps_max}]")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    table = _speed_columns(np.linspace(eps_min, eps_max, steps) + 0.0, m)  # -0.0 -> 0.0
-    finite = (np.isfinite(table.v) & (np.isfinite(table.u) | ~table.has_u)
-              & (np.isfinite(table.w) | ~table.has_w))
-    if not finite.all():
-        eps = float(table.epsilon[np.argmin(finite)])
-        raise ValueError(f"dispersion speeds at epsilon = {eps!r} (m = {m!r}) "
-                         "are out of floating-point range")
-    return table
+    return _speed_columns(np.linspace(eps_min, eps_max, steps) + 0.0, m)  # -0.0 -> 0.0

@@ -209,10 +209,10 @@ class PlaneWaveSpec:
     label lambda; the actual helicity eigenvalue of the amplitude is
     ``helicity_eigenvalue`` = energy_sign * helicity.  Construction builds
     the spec's `SpecGroup` of one with `SpecGroup.from_arrays`, which
-    validates it and raises what that raises; ``momentum``, ``mass``, ``k``
-    (|p|), ``epsilon`` (the shell energy) and ``four_momentum`` (eps; p) are
-    read from its row 0, and `amplitude` computes row 0 of `group_amplitudes`
-    on it.  The amplitude and the discrete images are computed on first use
+    validates it and raises what that raises; the two labels (as ints),
+    ``momentum``, ``mass``, ``k`` (|p|), ``epsilon`` (the shell energy) and
+    ``four_momentum`` (eps; p) are read from its row 0, and `amplitude`
+    computes row 0 of `group_amplitudes` on it.  The amplitude and the discrete images are computed on first use
     and kept on the spec, read-only.
     """
 
@@ -226,8 +226,10 @@ class PlaneWaveSpec:
     def __post_init__(self):
         g = SpecGroup.from_arrays(self.species, self.rep, self.energy_sign, self.helicity,
                                   [self.momentum], [self.mass], [0])
+        object.__setattr__(self, "energy_sign", int(g.energy_sign[0]))
         object.__setattr__(self, "momentum", tuple(g.momentum[0].tolist()))
         object.__setattr__(self, "mass", float(g.mass[0]))
+        object.__setattr__(self, "helicity", int(g.helicity[0]))
         object.__setattr__(self, "_group", g)
         object.__setattr__(self, "_k", float(g.k[0]))
         object.__setattr__(self, "epsilon", float(g.epsilon[0]))

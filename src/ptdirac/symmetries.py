@@ -99,7 +99,7 @@ def discrete_images(spec, w=None) -> tuple[np.ndarray, np.ndarray]:
     ``amplitude(spec)``) the result is computed once and kept on the spec,
     read-only.
     """
-    if isinstance(spec, PlaneWaveSpec) and (w is None or w is spec.__dict__.get("_amplitude")):
+    if isinstance(spec, PlaneWaveSpec) and (w is None or w is amplitude(spec)):
         return _memoized(spec, "_discrete_images", lambda: _images(spec, amplitude(spec)))
     return _images(spec, amplitude(spec) if w is None else w)
 

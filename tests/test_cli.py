@@ -490,6 +490,19 @@ def test_main_calls_the_current_command_function(capsys, monkeypatch):
     assert run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11")[0] == 7
 
 
+def test_the_cli_module_runs_as_the_package_does():
+    """`python -m ptdirac.cli` runs `main` and exits with its code, as
+    `python -m ptdirac` does."""
+    args = ["spinor", "--species", "pt", "--momentum", "0,0.6,5", "--mass", "3"]
+    for extra in ([], ["--mass", "-1"]):
+        package = run_proc(*args, *extra)
+        module = subprocess.run([sys.executable, "-m", "ptdirac.cli", *args, *extra],
+                                capture_output=True)
+        assert (module.returncode, module.stdout, module.stderr) \
+            == (package.returncode, package.stdout, package.stderr)
+        assert package.returncode == (2 if extra else 0)
+
+
 # ------------------------------------------------------ out-of-range arguments
 
 SPEC_ARGS = ["--species", "pt", "--momentum", "0,0,5", "--mass", "3"]

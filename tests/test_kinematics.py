@@ -18,6 +18,7 @@ from ptdirac.kinematics import (
     ZeroMomentum,
     _boost_arrays,
     _hypot,
+    _speed_columns,
     boost,
     dispersion_table,
     dual_momentum,
@@ -455,6 +456,29 @@ def test_speeds_equal_the_table_columns(eps, m):
     assert [s.u, s.v, s.w] == [t.u[0] if t.has_u[0] else None, t.v[0],
                                t.w[0] if t.has_w[0] else None]
     assert math.copysign(1.0, s.v) == 1.0
+
+
+@pytest.mark.parametrize("eps, m, eps_max", [
+    (1e308, 1e308, 1.5e308),    # 0 * sqrt(2e308): u = nan
+    (1.5e308, 1e308, 1.7e308),  # u = inf, w = inf
+    (1e-320, 3.0, 1.0),         # h / eps overflows: w = inf
+], ids=["u-nan", "u-w-overflow", "w-overflow"])
+def test_speeds_refuse_what_the_table_refuses(eps, m, eps_max):
+    """`speeds` raises the range error of a table whose first row is its energy."""
+    message = (f"dispersion speeds at epsilon = {eps!r} (m = {m!r}) "
+               "are out of floating-point range")
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with pytest.raises(ValueError) as at_one:
+            speeds(eps, m)
+        with pytest.raises(ValueError) as in_table:
+            dispersion_table(m, eps, eps_max, 2)
+    assert str(at_one.value) == str(in_table.value) == message
+
+
+def test_speed_law_names_the_mass_of_the_offending_row():
+    eps, m = np.array([1.0, 2.0, 1e-320, 1e-320]), np.array([0.5, 3.0, 7.0, 5.0])
+    with pytest.raises(ValueError, match=re.escape("epsilon = 1e-320 (m = 7.0) are out")):
+        _speed_columns(eps, m)
 
 
 def test_dispersion_table_invalid_ranges():

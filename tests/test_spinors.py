@@ -30,7 +30,7 @@ from ptdirac.spinors import (
     relative_residual,
     solution_residual,
 )
-from ptdirac.symmetries import DiscreteKind, apply_discrete
+from ptdirac.symmetries import DiscreteKind, apply_boost, apply_discrete
 
 STD = Representation.STANDARD
 WEYL = Representation.WEYL
@@ -740,6 +740,27 @@ def test_spec_keeps_its_mass_as_the_float_of_its_group():
             image, residual = apply_discrete(kind, spec)
             want, want_residual = apply_discrete(kind, one)
             assert image.tobytes() == want.tobytes() and residual == want_residual
+
+
+@pytest.mark.parametrize("sign, lam", [(1.0, np.float64(-1.0)), (np.float64(-1.0), 1.0),
+                                       (True, -1.0), (np.int8(-1), True)])
+def test_spec_keeps_its_labels_as_the_ints_of_its_group(sign, lam):
+    """Labels given as floats, numpy scalars or bools are validated as the
+    ints +-1, and the spec keeps those ints, so it equals, hashes, reprs,
+    reports and transforms like the spec built with ints."""
+    spec = PlaneWaveSpec(Species.PSEUDOTACHYON, sign, (0, 0.6, 5.0), 3.0, lam)
+    ints = PlaneWaveSpec(Species.PSEUDOTACHYON, int(sign), (0, 0.6, 5.0), 3.0, int(lam))
+    assert type(spec.energy_sign) is int and type(spec.helicity) is int
+    assert spec == ints and hash(spec) == hash(ints) and repr(spec) == repr(ints)
+    assert amplitude(spec).tobytes() == amplitude(ints).tobytes()
+    assert repr(expectation_report(spec)) == repr(expectation_report(ints))
+    for kind in DiscreteKind:
+        image, residual = apply_discrete(kind, spec)
+        want, want_residual = apply_discrete(kind, ints)
+        assert image.tobytes() == want.tobytes() and residual == want_residual
+    boosted, residual = apply_boost(spec, (0.6, 0.0, 0.8), 0.7)
+    want, want_residual = apply_boost(ints, (0.6, 0.0, 0.8), 0.7)
+    assert boosted.tobytes() == want.tobytes() and residual == want_residual
 
 
 # ------------------------------------------------- batch kernel against N = 1
