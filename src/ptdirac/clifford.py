@@ -39,6 +39,12 @@ class Representation(enum.Enum):
     WEYL = "weyl"
 
 
+def _check_member(name: str, value, kind: type[enum.Enum]) -> None:
+    """Raise ValueError, naming the value, unless it is a member of kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def _frozen(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     m.setflags(write=False)
@@ -81,7 +87,6 @@ class GammaSet(NamedTuple):
     matrix, and every stack is read-only.
     """
 
-    rep: Representation
     gammas: np.ndarray
     gamma5: np.ndarray
     alpha: np.ndarray
@@ -99,8 +104,7 @@ class GammaSet(NamedTuple):
 def gamma_set(rep: Representation) -> GammaSet:
     """The gamma matrices of the requested representation, built once.  Any
     other basis, unhashable ones included, raises ValueError."""
-    if not isinstance(rep, Representation):
-        raise ValueError(f"unknown representation {rep!r}")
+    _check_member("rep", rep, Representation)
     return _build_gamma_set(rep)
 
 
@@ -121,7 +125,7 @@ def _build_gamma_set(rep: Representation) -> GammaSet:
     gm, gn = lowered[np.array(PAIRS).T]
     sigma_pairs = 0.5j * (gm @ gn - gn @ gm)
     discrete = np.stack([g0, 1j * gk[1], 1j * gk[0] @ gk[2], 1j * g5])
-    return GammaSet(rep, _frozen(gammas), g5, _frozen(alpha), _frozen(alpha5),
+    return GammaSet(_frozen(gammas), g5, _frozen(alpha), _frozen(alpha5),
                     _frozen(alpha @ g5), _frozen(np.concatenate([g0_g, g0_g @ g5])),
                     _frozen(sigma_pairs),
                     tuple(_frozen(np.concatenate([lowered, -u])) for u in (g5[None], eye)),

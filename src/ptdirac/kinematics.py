@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .clifford import _norm
+from .clifford import _check_member, _norm
 
 # Relative slack for shell checks: |m * nhat| can land a couple of ulp below
 # m, which must still count as an admissible pseudotachyon momentum.
@@ -42,12 +42,6 @@ class Species(enum.Enum):
     BRADYON = "bradyon"
     PSEUDOTACHYON = "pseudotachyon"
     LUXON = "luxon"
-
-
-def _check_member(name: str, value, kind: type[enum.Enum]) -> None:
-    """Raise ValueError, naming the value, unless it is a member of kind."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -188,8 +182,11 @@ def energy_from_momentum(species: Species, k, m):
     sqrt(k^2 - m^2) near it; the bradyon branch is ``math.hypot``, entry by
     entry, computed by `_hypot`.  ``k`` and ``m`` are floats, giving a float,
     or broadcastable arrays, giving one energy per entry; an entry off the
-    shell raises, and the error names the first one.
+    shell raises, and the error names the first one.  Every representable
+    energy is returned finite; a bradyon energy past the largest float raises
+    a ValueError naming the first such entry, and an infinite k gives inf.
     """
+    _check_member("species", species, Species)
     k, m = np.asarray(k, dtype=float), np.asarray(m, dtype=float)
     if k.shape != m.shape:
         k, m = np.broadcast_arrays(k, m)
@@ -202,14 +199,22 @@ def energy_from_momentum(species: Species, k, m):
         if np.count_nonzero(massive):
             raise MassNotZero(f"luxon requires m = 0, got m = {m[massive][0]}")
         eps = k.copy()
-    elif species is Species.PSEUDOTACHYON:
+    else:
         below = k < m * (1.0 - SHELL_RTOL)
         if np.count_nonzero(below):
             raise NonPhysicalMomentum(f"|p| = {k[below][0]} < m = {m[below][0]}")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN out of range
+        with np.errstate(over="ignore", invalid="ignore"):  # k + m past the range
             eps = np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k + m)
-    else:
-        raise ValueError(f"unknown species {species!r}")
+    if np.count_nonzero(eps < math.inf) != eps.size:  # NaN fails too
+        over = ~(eps < math.inf) & (np.maximum(k, m) < math.inf)
+        if species is Species.BRADYON and np.count_nonzero(over):
+            i = np.flatnonzero(over)[0]
+            raise ValueError(f"bradyon energy out of floating-point range at "
+                             f"k = {float(k.flat[i])!r}, m = {float(m.flat[i])!r}")
+        with np.errstate(invalid="ignore"):  # k = m = inf stays NaN
+            # sqrt(k + m) as 2 sqrt(k/4 + m/4), exact where k + m overflowed
+            root = 2.0 * np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k / 4 + m / 4)
+        eps = np.where(over, root, eps)
     return float(eps) if eps.ndim == 0 else eps
 
 

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import Representation, _with_term, contract, gamma_set
-from .kinematics import FourVector, Species, _check_member, dual_momentum, minkowski_dot
+from .clifford import Representation, _check_member, _with_term, contract, gamma_set
+from .kinematics import FourVector, Species, dual_momentum, minkowski_dot
 from .spinors import PlaneWaveSpec, amplitude, relative_residual
 
 # w^dag w below which the subnormal rounding of one product of entries, up to

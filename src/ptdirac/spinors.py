@@ -28,9 +28,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .clifford import (Representation, _four_components, _norm, _rows, _with_term, contract,
-                       gamma_set, representation_change)
-from .kinematics import Species, ZeroMomentum, _check_member, energy_from_momentum
+from .clifford import (Representation, _check_member, _four_components, _norm, _rows, _with_term,
+                       contract, gamma_set, representation_change)
+from .kinematics import Species, ZeroMomentum, energy_from_momentum
 
 
 class TranscendentDivision(ZeroDivisionError, ValueError):
@@ -163,7 +163,7 @@ class SpecGroup(NamedTuple):
         nor underflows at 1e-300, and the shell energy with
         `energy_from_momentum`, once per spec.  A ``species`` or ``rep``
         that is not a member of its enum raises ValueError; so does the first
-        invalid spec, or it raises `ZeroMomentum` or the shell error of
+        invalid spec, or it raises `ZeroMomentum` or the shell or range error of
         `energy_from_momentum`; a norm target w^dag w = 2 max(k, eps)
         (`norm_convention`) beyond the floating-point range raises
         ValueError.

@@ -25,9 +25,9 @@ import enum
 
 import numpy as np
 
-from .clifford import (METRIC, PAIRS, Representation, _norm, _rows, _with_term, contract, dagger,
-                       gamma_set)
-from .kinematics import Species, _boost_arrays, _check_member, _cosh_sinh, _unit_axis
+from .clifford import (METRIC, PAIRS, Representation, _check_member, _norm, _rows, _with_term,
+                       contract, dagger, gamma_set)
+from .kinematics import Species, _boost_arrays, _cosh_sinh, _unit_axis
 from .spinors import PlaneWaveSpec, _memoized, amplitude, relative_residual, wave_operator
 
 

@@ -616,6 +616,21 @@ def test_invalid_spec_error_bytes(capsys, momentum, mass, species, err):
                     "--mass", mass) == (2, "", err)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("species,momentum,err", [
+    ("pt", "0,0,1e308",
+     "error: pseudotachyon plane wave out of floating-point range: norm target w^dag w = inf\n"),
+    ("bradyon", "0,0,1.5e308",
+     "error: bradyon energy out of floating-point range at k = 1.5e+308, m = 1e+308\n"),
+], ids=["pt-transcendent-1e308", "bradyon-eps-1.8e308"])
+def test_top_of_range_spec_error_bytes(capsys, species, momentum, err):
+    """The transcendent energy at k = m = 1e308 is 0, not NaN, so the norm
+    target 2k is the range error; a bradyon energy past the largest float is
+    refused where it is computed."""
+    assert run_main(capsys, "spinor", "--species", species, "--momentum", momentum,
+                    "--mass", "1e308") == (2, "", err)
+
+
 def test_spinor_out_of_range_is_usage_error():
     proc = run_proc("spinor", "--species", "bradyon", "--momentum", "0,0,5",
                     "--mass", "1e308", env_extra={"PYTHONWARNINGS": "error"})

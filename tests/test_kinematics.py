@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -174,7 +175,80 @@ def test_energy_from_momentum_keeps_an_infinite_momentum(species, m):
 def test_energy_from_momentum_rejects_a_species_outside_the_enum():
     with pytest.raises(ValueError) as info:
         energy_from_momentum("pt", 1.0, 0.5)
-    assert type(info.value) is ValueError and str(info.value) == "unknown species 'pt'"
+    assert type(info.value) is ValueError
+    assert str(info.value) == "species must be a Species, got 'pt'"
+
+
+TOP = sys.float_info.max
+PT_ULPS = 3.0  # k - m, k + m, both roots and their product round once each
+
+
+def pt_energy_ulps(k: float, m: float, eps: float) -> float:
+    """|eps - sqrt(k^2 - m^2)| in ulps of the exact energy, from a decimal root."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (Decimal(k) ** 2 - Decimal(m) ** 2).sqrt()
+        return float(abs(Decimal(eps) - exact) / Decimal(math.ulp(float(exact))))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1e308, 1.7e308, TOP])
+def test_pt_energy_at_the_top_transcendent_point_is_zero(k):
+    """k + m overflows, yet eps = sqrt(k - m) sqrt(k + m) = 0 exactly."""
+    assert energy_from_momentum(Species.PSEUDOTACHYON, k, k) == 0.0
+    assert energy_from_momentum(Species.PSEUDOTACHYON, [2.0, k], [1.0, k])[1] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_pt_energy_past_the_sum_range_is_as_accurate_as_in_range(rng):
+    """Where k + m overflows, sqrt(k + m) is taken as 2 sqrt(k/4 + m/4): the
+    energy is that of (k/4, m/4) times 4 bit for bit, and meets the ulp bound
+    of in-range momenta."""
+    m = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 400))
+    k = m * np.exp(rng.uniform(0.0, math.log(1e6), 400))
+    k[:100] = m[:100] * (1.0 + rng.uniform(0.0, 1e-10, 100))   # near k = m
+    eps = energy_from_momentum(Species.PSEUDOTACHYON, k, m)
+    assert max(map(pt_energy_ulps, k.tolist(), m.tolist(), eps.tolist())) <= PT_ULPS
+    eps = energy_from_momentum(Species.PSEUDOTACHYON, 1.5e308, 1e308)
+    assert math.isfinite(eps) and pt_energy_ulps(1.5e308, 1e308, eps) <= PT_ULPS
+    m = rng.uniform(0.5, 1.0, 200) * TOP
+    k = m + rng.uniform(0.0, 1.0, 200) * (TOP - m)
+    with np.errstate(over="ignore"):
+        assert np.isinf(k + m).all()
+    eps = energy_from_momentum(Species.PSEUDOTACHYON, k, m)
+    assert np.array_equal(eps, 4.0 * energy_from_momentum(Species.PSEUDOTACHYON, k / 4, m / 4))
+
+
+@pytest.mark.filterwarnings("error")
+def test_bradyon_energy_past_the_largest_float_names_the_first_entry():
+    k, m = np.array([1.0, 1.5e308, TOP]), np.array([1.0, 1e308, 1e308])
+    for args in ((1.5e308, 1e308), (k, m), (k.reshape(3, 1), m)):
+        with pytest.raises(ValueError) as info:
+            energy_from_momentum(Species.BRADYON, *args)
+        assert type(info.value) is ValueError
+        assert str(info.value) == ("bradyon energy out of floating-point range at "
+                                   "k = 1.5e+308, m = 1e+308")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("species", [Species.BRADYON, Species.PSEUDOTACHYON])
+def test_energy_keeps_the_bits_of_the_written_out_law_wherever_it_is_finite(species):
+    """math.hypot, or sqrt(k - m) sqrt(k + m), which is finite wherever k + m
+    is.  Where it is not, the pseudotachyon energy is still finite."""
+    a, b = hypot_pairs(20_000, seed=5)
+    k, m = np.maximum(a, b), np.minimum(a, b)
+    if species is Species.BRADYON:
+        law = np.array(list(map(math.hypot, k.tolist(), m.tolist())))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            law = np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k + m)
+    finite = np.isfinite(law)
+    assert 0 < np.count_nonzero(~finite) < 2_000
+    if species is Species.BRADYON:  # the others raise the range error
+        k, m, law, finite = k[finite], m[finite], law[finite], finite[finite]
+    eps = energy_from_momentum(species, k, m)
+    assert np.isfinite(eps).all()
+    assert np.array_equal(eps[finite].view(np.int64), law[finite].view(np.int64))
 
 
 def test_exchanged_shells_invert_each_other_exactly_at_the_transcendent_point():

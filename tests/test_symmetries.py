@@ -7,8 +7,9 @@ import pytest
 
 from ptdirac import verify
 from ptdirac.clifford import Representation, dagger, gamma_set
-from ptdirac.kinematics import FourVector, Species, boost
-from ptdirac.spinors import PlaneWaveSpec, amplitude
+from ptdirac.kinematics import FourVector, Species, boost, energy_from_momentum
+from ptdirac.observables import hamiltonian
+from ptdirac.spinors import PlaneWaveSpec, SpecGroup, amplitude, convert_representation
 from ptdirac.symmetries import (
     DiscreteKind,
     apply_boost,
@@ -353,16 +354,37 @@ def test_operators_reject_a_species_outside_the_enum(species):
     assert pct_phase(Species.BRADYON, STD) == pytest.approx(-1.0)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rep", [["x"], {"standard"}, "standard", None, 0])
 def test_operators_reject_a_basis_outside_the_enum(rep):
-    """An unhashable basis gets the same error as any other unknown one."""
-    bad = rf"unknown representation {re.escape(repr(rep))}"
-    with pytest.raises(ValueError, match=bad):
-        gamma_set(rep)
-    with pytest.raises(ValueError, match=bad):
-        discrete_operator(DiscreteKind.PARITY, Species.BRADYON, rep)
-    with pytest.raises(ValueError, match=bad):
-        lorentz_boost_spinor((0, 0, 1), 0.3, rep)
+    """Every public enum argument refuses a non-member, unhashable ones
+    included, with one message: `<name> must be a <Kind>, got <value!r>`."""
+    brad, parity, p, m, w = Species.BRADYON, DiscreteKind.PARITY, (0.0, 0.0, 1.0), 2.0, np.ones(4)
+    calls = {
+        ("rep", Representation): [
+            gamma_set, lambda x: discrete_operator(parity, brad, x),
+            lambda x: hamiltonian(brad, p, m, x),
+            lambda x: SpecGroup.from_arrays(brad, x, 1, 1, [p], [m], [0]),
+            lambda x: lorentz_boost_spinor((0, 0, 1), 0.3, x)],
+        ("species", Species): [
+            lambda x: discrete_operator(parity, x, STD), lambda x: hamiltonian(x, p, m),
+            lambda x: energy_from_momentum(x, 1.0, 0.5),
+            lambda x: SpecGroup.from_arrays(x, STD, 1, 1, [p], [m], [0])],
+        ("kind", DiscreteKind): [
+            lambda x: discrete_operator(x, brad, STD), lambda x: apply_discrete(x, PT_SPEC)],
+        ("from_rep", Representation): [lambda x: convert_representation(w, x, STD)],
+        ("to_rep", Representation): [lambda x: convert_representation(w, STD, x)],
+    }
+    for (name, kind), builds in calls.items():
+        for build in builds:
+            with pytest.raises(ValueError) as info:
+                build(rep)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"{name} must be a {kind.__name__}, got {rep!r}"
     for good in (STD, WEYL):
         assert gamma_set(good) is gamma_set(good)
-        assert gamma_set(good).rep is good
+    # the two bases apart: gamma^0 is diagonal in the standard one, gamma^5 in the Weyl one
+    std, weyl = gamma_set(STD), gamma_set(WEYL)
+    for diagonal, off in ((std.gammas[0], std.gamma5), (weyl.gamma5, weyl.gammas[0])):
+        assert np.array_equal(diagonal, np.diag(np.diag(diagonal)))
+        assert not np.array_equal(off, np.diag(np.diag(off)))
