@@ -8,7 +8,9 @@ bradyon shell with eps and k exchanged, so `energy_from_momentum` of either
 reads k back from the eps of the other (verify's shell roundtrip does so).
 The dispersion speeds at fixed energy have one implementation, a law over
 arrays of energies: `speeds` is that law at one energy and
-`dispersion_table` returns its columns over a grid.
+`dispersion_table` returns its columns over a grid.  The law reads the
+bradyon speed u off the pseudotachyon shell, whose energy at momentum eps is
+the bradyon momentum at energy eps.
 """
 from __future__ import annotations
 
@@ -184,7 +186,8 @@ def energy_from_momentum(species: Species, k, m):
     or broadcastable arrays, giving one energy per entry; an entry off the
     shell raises, and the error names the first one.  Every representable
     energy is returned finite; a bradyon energy past the largest float raises
-    a ValueError naming the first such entry, and an infinite k gives inf.
+    a ValueError naming the first such entry, an infinite k with a finite m
+    gives inf, and the pseudotachyon energy at k = m = inf raises a ValueError.
     """
     _check_member("species", species, Species)
     k, m = np.asarray(k, dtype=float), np.asarray(m, dtype=float)
@@ -194,6 +197,11 @@ def energy_from_momentum(species: Species, k, m):
         raise ValueError("k and m must be non-negative numbers")
     if species is Species.BRADYON:
         eps = _hypot(k, m)
+        if np.count_nonzero(eps < math.inf) != eps.size:
+            over = np.flatnonzero(~(eps < math.inf) & (np.maximum(k, m) < math.inf))
+            if over.size:
+                raise ValueError(f"bradyon energy out of floating-point range at k = "
+                                 f"{float(k.flat[over[0]])!r}, m = {float(m.flat[over[0]])!r}")
     elif species is Species.LUXON:
         massive = m != 0.0
         if np.count_nonzero(massive):
@@ -205,16 +213,12 @@ def energy_from_momentum(species: Species, k, m):
             raise NonPhysicalMomentum(f"|p| = {k[below][0]} < m = {m[below][0]}")
         with np.errstate(over="ignore", invalid="ignore"):  # k + m past the range
             eps = np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k + m)
-    if np.count_nonzero(eps < math.inf) != eps.size:  # NaN fails too
-        over = ~(eps < math.inf) & (np.maximum(k, m) < math.inf)
-        if species is Species.BRADYON and np.count_nonzero(over):
-            i = np.flatnonzero(over)[0]
-            raise ValueError(f"bradyon energy out of floating-point range at "
-                             f"k = {float(k.flat[i])!r}, m = {float(m.flat[i])!r}")
-        with np.errstate(invalid="ignore"):  # k = m = inf stays NaN
-            # sqrt(k + m) as 2 sqrt(k/4 + m/4), exact where k + m overflowed
-            root = 2.0 * np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k / 4 + m / 4)
-        eps = np.where(over, root, eps)
+            if np.count_nonzero(eps < math.inf) != eps.size:  # NaN fails too
+                # sqrt(k + m) as 2 sqrt(k/4 + m/4), exact where k + m overflowed
+                root = 2.0 * np.sqrt(np.maximum(k - m, 0.0)) * np.sqrt(k / 4 + m / 4)
+                eps = np.where(eps < math.inf, eps, root)
+                if np.count_nonzero(np.isnan(eps)):  # only k = m = inf is left
+                    raise ValueError("pseudotachyon energy undefined at k = m = inf")
     return float(eps) if eps.ndim == 0 else eps
 
 
@@ -227,13 +231,21 @@ def dual_momentum(p):
     transform as a four-vector under boosts that are not collinear with p.
     |p| is taken on p scaled exactly by the power of two of its largest
     component, so it neither overflows at 1e200 nor underflows at 1e-300.
+    A row whose dual is not finite, from a NaN or infinite component or
+    from eps / k past the range, raises a ValueError naming the first one.
     """
     p = np.asarray(p, dtype=float)
-    scale = np.ldexp(1.0, np.frexp(np.abs(p[..., 1:]).max(axis=-1))[1])
-    k = _norm(p[..., 1:] / scale[..., None]) * scale
-    if np.any(k == 0.0):
-        raise ZeroMomentum("dual momentum undefined at |p| = 0")
-    return np.concatenate([k[..., None], (p[..., 0] / k)[..., None] * p[..., 1:]], axis=-1)
+    with np.errstate(all="ignore"):  # a non-finite dual is refused below
+        scale = np.ldexp(1.0, np.frexp(np.abs(p[..., 1:]).max(axis=-1))[1])
+        k = _norm(p[..., 1:] / scale[..., None]) * scale
+        if np.any(k == 0.0):
+            raise ZeroMomentum("dual momentum undefined at |p| = 0")
+        dual = np.concatenate([k[..., None], (p[..., 0] / k)[..., None] * p[..., 1:]], axis=-1)
+    finite = np.isfinite(dual).all(axis=-1).reshape(-1)
+    if np.count_nonzero(finite) != finite.size:
+        i = int(np.argmin(finite))
+        raise ValueError(f"dual momentum not finite at row {i}, p = {p.reshape(-1, 4)[i].tolist()}")
+    return dual
 
 
 class SpeedTriple(NamedTuple):
@@ -269,9 +281,11 @@ def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
 
     Entry by entry these are the operations of the scalar law: v = eps/h and
     w = h/eps with h = math.hypot(eps, m), computed by `_hypot` (np.hypot
-    differs from it in the last ulp on some inputs), u = sqrt(eps - m) sqrt(eps + m) / eps, and
-    u = v = w = 1 at m = 0.  Where m << eps the product of the square roots
-    can round above eps, so a finite u above 1 is set to 1.  A present speed
+    differs from it in the last ulp on some inputs), and u = v = w = 1 at m = 0.
+    The bradyon momentum at energy eps is the pseudotachyon energy at momentum
+    eps, so u reads that shell: u = energy_from_momentum(PSEUDOTACHYON,
+    max(eps, m), m) / eps, finite wherever present.  Where m << eps the root
+    can round above eps, so a u above 1 is set to 1.  A present speed
     out of floating-point range raises a ValueError naming the first such
     energy and its mass.
     """
@@ -280,11 +294,11 @@ def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
     has_w = eps != 0.0
     massless = m == 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = np.sqrt(np.maximum(eps - m, 0.0)) * np.sqrt(eps + m) / eps
+        u = energy_from_momentum(Species.PSEUDOTACHYON, np.maximum(eps, m), m) / eps
         v = np.where(massless, 1.0, eps / h)
         w = h / eps
     u = np.where(has_u, np.where(massless, 1.0, u), np.nan)
-    np.minimum(u, 1.0, out=u, where=u < np.inf)
+    np.minimum(u, 1.0, out=u)
     w = np.where(has_w, np.where(massless, 1.0, w), np.nan)
     finite = np.isfinite(v) & (np.isfinite(u) | ~has_u) & (np.isfinite(w) | ~has_w)
     if np.count_nonzero(finite) != finite.size:

@@ -163,12 +163,11 @@ def test_dispersion_edge_bytes_to_stdout_and_file(tmp_path, m, eps_min, eps_max,
 
 OUT_OF_RANGE = [
     ["--mass", "3", "--eps-max", "1e-320", "--steps", "3"],        # w = inf
-    ["--mass", "1e308", "--eps-max", "1e308", "--steps", "2"],     # u = nan
-    ["--mass", "1e308", "--eps-max", "1.7e308", "--steps", "4"],   # u = w = inf
+    ["--mass", "1e308", "--eps-max", "1.7e308", "--steps", "4"],   # w = inf
 ]
 # the same tables with enough rows for the array hypot
 OUT_OF_RANGE += [args[:-1] + ["5000"] for args in OUT_OF_RANGE]
-OUT_OF_RANGE_IDS = ["w-inf", "u-nan", "u-w-inf", "w-inf-5000", "u-nan-5000", "u-w-inf-5000"]
+OUT_OF_RANGE_IDS = ["w-inf", "u-w-inf", "w-inf-5000", "u-w-inf-5000"]
 
 
 @pytest.mark.parametrize("args", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
@@ -186,6 +185,19 @@ def test_dispersion_out_of_range_does_not_open_the_output(tmp_path, capsys, args
     code, out, err = run_main(capsys, "dispersion", *args, "--out", str(target))
     assert (code, out) == (2, "")
     assert not target.exists()
+
+
+def test_dispersion_at_the_top_transcendent_point_prints_finite_speeds():
+    """eps = m = 1e308, where eps + m overflows: u = 0, as at any eps = m."""
+    args = ["dispersion", "--mass", "1e308", "--eps-max", "1e308", "--steps"]
+    proc = run_proc(*args, "2", env_extra={"PYTHONWARNINGS": "error"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == ("epsilon,u_bradyon,v_pt,w_tachyon\n0,,0,\n"
+                                    "1e+308,0,0.707106781,1.41421356\n")
+    proc = run_proc(*args, "5000", env_extra={"PYTHONWARNINGS": "error"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 5001 and lines[-1].split(",")[:2] == ["1e+308", "0"]
 
 
 # --------------------------------------------------------------------- spinor

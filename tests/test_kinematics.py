@@ -16,6 +16,7 @@ from ptdirac.kinematics import (
     MassNotZero,
     NonPhysicalMomentum,
     Species,
+    SpeedTriple,
     ZeroMomentum,
     _boost_arrays,
     _hypot,
@@ -80,6 +81,21 @@ def test_dual_momentum_transcendent():
 def test_dual_momentum_zero_momentum_raises():
     with pytest.raises(ZeroMomentum):
         dual_momentum((4, 0, 0, 0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row, bad", [
+    ((1e300, 1e-300, 0.0, 0.0), "[1e+300, 1e-300, 0.0, 0.0]"),   # eps / k overflows
+    ((1.0, math.nan, 0.0, 0.0), "[1.0, nan, 0.0, 0.0]"),
+    ((1.0, 0.0, math.inf, 0.0), "[1.0, 0.0, inf, 0.0]"),
+    ((math.inf, 0.0, 0.0, 1.0), "[inf, 0.0, 0.0, 1.0]"),
+], ids=["eps-over-k", "nan", "inf-momentum", "inf-energy"])
+def test_dual_momentum_refuses_a_row_that_is_not_finite(row, bad):
+    for p, i in ((np.array(row), 0), (np.array([[2.0, 1.0, 0.0, 0.0], row]), 1)):
+        with pytest.raises(ValueError) as info:
+            dual_momentum(p)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"dual momentum not finite at row {i}, p = {bad}"
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e200])
@@ -170,6 +186,18 @@ def test_energy_from_momentum_rejects_a_negative_or_nan_argument(species, k, m):
 def test_energy_from_momentum_keeps_an_infinite_momentum(species, m):
     """`SpecGroup.from_arrays` turns an overflowing |p| into its range error."""
     assert energy_from_momentum(species, math.inf, m) == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_pt_energy_at_infinite_momentum_and_mass_raises():
+    """inf - inf leaves no energy; a plain ValueError, not an off-shell one."""
+    k = np.array([2.0, math.inf])
+    for args in ((math.inf, math.inf), (k, np.array([1.0, math.inf])),
+                 (np.full((2, 1), math.inf), np.array([1.0, math.inf]))):
+        with pytest.raises(ValueError) as info:
+            energy_from_momentum(Species.PSEUDOTACHYON, *args)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "pseudotachyon energy undefined at k = m = inf"
 
 
 def test_energy_from_momentum_rejects_a_species_outside_the_enum():
@@ -510,9 +538,8 @@ def test_dispersion_table_newtonian_regime():
 
 @pytest.mark.parametrize("m, eps_min, eps_max, steps, m_eps", [
     (3.0, 0.0, 1e-320, 3, 5e-321),            # h / eps overflows: w = inf
-    (1e308, 0.0, 1e308, 2, 1e308),            # 0 * sqrt(2e308): u = nan
-    (1e308, 0.0, 1.7e308, 4, 1.1333333333333334e308),  # u = inf, w = inf
-], ids=["w-overflow", "u-nan", "u-w-overflow"])
+    (1e308, 0.0, 1.7e308, 4, 1.7e308),        # h overflows: w = inf
+], ids=["w-overflow", "u-w-overflow"])
 def test_dispersion_table_out_of_range_speeds_raise(m, eps_min, eps_max, steps, m_eps):
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         with pytest.raises(ValueError, match=re.escape(f"epsilon = {m_eps!r} ")
@@ -533,10 +560,9 @@ def test_speeds_equal_the_table_columns(eps, m):
 
 
 @pytest.mark.parametrize("eps, m, eps_max", [
-    (1e308, 1e308, 1.5e308),    # 0 * sqrt(2e308): u = nan
-    (1.5e308, 1e308, 1.7e308),  # u = inf, w = inf
+    (1.5e308, 1e308, 1.7e308),  # h overflows: w = inf
     (1e-320, 3.0, 1.0),         # h / eps overflows: w = inf
-], ids=["u-nan", "u-w-overflow", "w-overflow"])
+], ids=["u-w-overflow", "w-overflow"])
 def test_speeds_refuse_what_the_table_refuses(eps, m, eps_max):
     """`speeds` raises the range error of a table whose first row is its energy."""
     message = (f"dispersion speeds at epsilon = {eps!r} (m = {m!r}) "
@@ -547,6 +573,57 @@ def test_speeds_refuse_what_the_table_refuses(eps, m, eps_max):
         with pytest.raises(ValueError) as in_table:
             dispersion_table(m, eps, eps_max, 2)
     assert str(at_one.value) == str(in_table.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_speeds_at_the_top_transcendent_point_are_finite():
+    """eps = m = 1e308: eps + m overflows, yet u is the pseudotachyon energy
+    at momentum eps over eps, exactly 0."""
+    table = dispersion_table(1e308, 0.0, 1e308, 2)
+    assert np.array_equal(table.u, [np.nan, 0.0], equal_nan=True)
+    assert table.v.tolist() == [0.0, 0.7071067811865475]
+    assert np.array_equal(table.w, [np.nan, 1.4142135623730951], equal_nan=True)
+    assert speeds(1e308, 1e308) == SpeedTriple(0.0, 0.7071067811865475, 1.4142135623730951)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bradyon_speed_keeps_the_bits_of_the_written_out_root():
+    """Wherever eps + m is finite, u is sqrt(eps - m) sqrt(eps + m) / eps
+    clamped to 1, bit for bit, over `hypot_pairs` with eps >= m."""
+    a, b = hypot_pairs(20_000, seed=7)
+    eps, m = np.maximum(a, b), np.minimum(a, b)
+    eps, m = eps[eps > 0.0], m[eps > 0.0]
+    with np.errstate(over="ignore"):
+        in_range = eps + m < math.inf
+    eps, m = eps[in_range], m[in_range]
+    law = np.sqrt(np.maximum(eps - m, 0.0)) * np.sqrt(eps + m) / eps
+    law = np.where(m == 0.0, 1.0, np.minimum(law, 1.0))
+    u = _speed_columns(eps, m).u
+    assert np.array_equal(u.view(np.int64), law.view(np.int64))
+
+
+def u_ulps(eps: float, m: float, u: float) -> float:
+    """|u - sqrt(eps^2 - m^2) / eps| in ulps of the exact speed."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (Decimal(eps) ** 2 - Decimal(m) ** 2).sqrt() / Decimal(eps)
+        return float(abs(Decimal(u) - exact) / Decimal(math.ulp(float(exact))))
+
+
+@pytest.mark.filterwarnings("error")
+def test_bradyon_speed_past_the_sum_range_is_finite_and_accurate(rng):
+    """Where eps + m overflows but h = hypot(eps, m) does not, u is finite, at
+    most 1 and within 4 ulp of a decimal root, the transcendent u = 0 included."""
+    m = rng.uniform(0.5, 0.7, 600) * TOP
+    eps = m + rng.uniform(0.0, 1.0, 600) * (np.sqrt(1.0 - (m / TOP) ** 2) * TOP * 0.999 - m)
+    eps[:3] = m[:3] = [0.6 * TOP, 0.65 * TOP, 0.7 * TOP]
+    with np.errstate(over="ignore"):
+        past = eps + m == math.inf
+    assert np.count_nonzero(past) > 300
+    eps, m = eps[past], m[past]
+    u = _speed_columns(eps, m).u
+    assert np.isfinite(u).all() and (u <= 1.0).all() and (u[:3] == 0.0).all()
+    assert max(map(u_ulps, eps[3:].tolist(), m[3:].tolist(), u[3:].tolist())) <= 4.0
 
 
 def test_speed_law_names_the_mass_of_the_offending_row():

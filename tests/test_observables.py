@@ -245,6 +245,14 @@ def test_four_vector_closed_forms_at_tiny_momentum():
 
 
 @pytest.mark.filterwarnings("error")
+def test_four_vector_closed_forms_refuse_a_dual_past_the_range():
+    """eps / k = 1e600 overflows: s-bar would read (0, inf, nan, nan)."""
+    spec = PlaneWaveSpec(Species.BRADYON, 1, (1e-300, 0.0, 0.0), 1e300, 1, STD)
+    with pytest.raises(ValueError, match=r"dual momentum not finite at row 0"):
+        four_vector_closed_forms(spec)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("species", ["bradyon", "pseudotachyon", None])
 def test_hamiltonian_rejects_a_species_outside_the_enum(species):
     """hamiltonian("bradyon", ...) must not return the pseudotachyon one."""
