@@ -184,30 +184,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_table(table: DispersionTable, precision: int, out) -> None:
     """Write a dispersion table as CSV to `out`, CHUNK_ROWS rows at a time.
 
-    Rows with the same absent fields form runs (three at most, since the grid
-    is nondecreasing).  Each chunk of a run goes through `gformat.format_block`
-    in one pass over its present fields, rows x fields flattened, and the
-    bytes are still those of a row-by-row `f"{x:.{precision}g}"` (`_fmt`), as
-    the table holds no -0.0; `ptdirac.gformat` says how they are produced.
+    Rows without w (eps = 0) and rows without u (eps < m or eps = 0) are
+    prefixes of the nondecreasing grid, so two NaN counts give its three runs.
+    Each chunk of a run goes through `gformat.format_block` in one pass over
+    its present fields, rows x fields flattened, and the bytes are still those
+    of a row-by-row `f"{x:.{precision}g}"` (`_fmt`), as the table holds no
+    -0.0; `ptdirac.gformat` says how they are produced.
     """
     from .gformat import format_block
 
-    shapes = {(False, False): ((table.epsilon, table.v), (",,", ",\n")),
-              (False, True): ((table.epsilon, table.v, table.w), (",,", ",", "\n")),
-              (True, True): ((table.epsilon, table.u, table.v, table.w),
-                             (",", ",", ",", "\n"))}
+    no_w, no_u = (np.count_nonzero(np.isnan(c)) for c in (table.w, table.u))
+    runs = (((table.epsilon, table.v), (",,", ",\n"), 0, no_w),
+            ((table.epsilon, table.v, table.w), (",,", ",", "\n"), no_w, no_u),
+            (table, (",", ",", ",", "\n"), no_u, len(table.epsilon)))  # all four columns
     out.write("epsilon,u_bradyon,v_pt,w_tachyon\n")
-    n = len(table.epsilon)
-    ends = [*(np.flatnonzero((table.has_u[1:] != table.has_u[:-1])
-                             | (table.has_w[1:] != table.has_w[:-1])) + 1), n]
-    start = 0
-    for end in ends:
-        columns, seps = shapes[bool(table.has_u[start]), bool(table.has_w[start])]
+    for columns, seps, start, end in runs:
         for lo in range(start, end, CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, end)
             out.write(format_block(np.column_stack([c[lo:hi] for c in columns]),
                                    precision, seps))
-        start = end
 
 
 def cmd_dispersion(args) -> int:

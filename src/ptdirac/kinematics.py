@@ -263,16 +263,14 @@ class SpeedTriple(NamedTuple):
 class DispersionTable(NamedTuple):
     """The dispersion-law speeds as columns over an array of energies.
 
-    u is absent where eps < m or eps = 0 and w where eps = 0; `has_u` and
-    `has_w` flag the present entries, and absent ones hold NaN.
+    An absent speed is NaN: u where eps < m or eps = 0, w where eps = 0.
+    Every present speed is finite.
     """
 
     epsilon: np.ndarray
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    has_u: np.ndarray
-    has_w: np.ndarray
 
 
 def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
@@ -281,40 +279,41 @@ def _speed_columns(eps: np.ndarray, m) -> DispersionTable:
 
     Entry by entry these are the operations of the scalar law: v = eps/h and
     w = h/eps with h = math.hypot(eps, m), computed by `_hypot` (np.hypot
-    differs from it in the last ulp on some inputs), and u = v = w = 1 at m = 0.
-    The bradyon momentum at energy eps is the pseudotachyon energy at momentum
-    eps, so u reads that shell: u = energy_from_momentum(PSEUDOTACHYON,
-    max(eps, m), m) / eps, finite wherever present.  Where m << eps the root
-    can round above eps, so a u above 1 is set to 1.  A present speed
-    out of floating-point range raises a ValueError naming the first such
-    energy and its mass.
+    differs from it in the last ulp on some inputs); at m = 0, h = eps bit for
+    bit, so w = 1, and v and u are set to 1.  The bradyon momentum at energy
+    eps is the pseudotachyon energy at momentum eps, so u reads that shell:
+    u = energy_from_momentum(PSEUDOTACHYON, max(eps, m), m) / eps.  Where
+    m << eps the root can round above eps, so a u above 1 is set to 1.  An
+    absent speed is NaN.  u and v cannot leave the floating-point range, but
+    w can (h overflows, or h/eps at a subnormal eps): an infinite w raises a
+    ValueError naming the first such energy and its mass.
     """
     h = _hypot(eps, m)
-    has_u = ~((eps < m) | (eps == 0.0))
-    has_w = eps != 0.0
     massless = m == 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = energy_from_momentum(Species.PSEUDOTACHYON, np.maximum(eps, m), m) / eps
         v = np.where(massless, 1.0, eps / h)
         w = h / eps
-    u = np.where(has_u, np.where(massless, 1.0, u), np.nan)
+    u = np.where((eps < m) | (eps == 0.0), np.nan, np.where(massless, 1.0, u))
     np.minimum(u, 1.0, out=u)
-    w = np.where(has_w, np.where(massless, 1.0, w), np.nan)
-    finite = np.isfinite(v) & (np.isfinite(u) | ~has_u) & (np.isfinite(w) | ~has_w)
-    if np.count_nonzero(finite) != finite.size:
-        i = np.argmin(finite)
+    w[eps == 0.0] = np.nan
+    over = np.isinf(w)
+    if np.count_nonzero(over):
+        i = np.argmax(over)
         raise ValueError(f"dispersion speeds at epsilon = {float(eps[i])!r} "
                          f"(m = {float(np.broadcast_to(m, eps.shape)[i])!r}) "
                          "are out of floating-point range")
-    return DispersionTable(eps, u, v, w, has_u, has_w)
+    return DispersionTable(eps, u, v, w)
 
 
 def speeds(epsilon: float, m: float) -> SpeedTriple:
+    """The speed law at one energy: the first row of `dispersion_table` at
+    that energy, with an absent speed as None.  It raises what a table whose
+    first row is epsilon raises."""
     if not (0 <= epsilon < math.inf and 0 <= m < math.inf):
         raise ValueError(f"epsilon and m must be finite and non-negative, got {epsilon}, {m}")
-    t = _speed_columns(np.array([epsilon + 0.0]), m)
-    return SpeedTriple(u=float(t.u[0]) if t.has_u[0] else None, v=float(t.v[0]),
-                       w=float(t.w[0]) if t.has_w[0] else None)
+    _, u, v, w = (float(c[0]) for c in _speed_columns(np.array([epsilon + 0.0]), m))
+    return SpeedTriple(u=None if math.isnan(u) else u, v=v, w=None if math.isnan(w) else w)
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -384,8 +383,9 @@ def dispersion_table(m: float, eps_min: float, eps_max: float,
                      steps: int) -> DispersionTable:
     """Evenly spaced energy grid with the three dispersion-law speeds.
 
-    Raises the ValueError of the speed law when the grid reaches energies
-    whose speeds are out of floating-point range.
+    An absent speed is NaN, and only w can leave the floating-point range
+    (h = hypot(eps, m) overflows, or h/eps at a subnormal eps): a grid that
+    reaches such energies raises the ValueError of the speed law.
     """
     if not 0 <= m < math.inf:
         raise ValueError(f"m must be finite and non-negative, got {m}")
@@ -393,4 +393,6 @@ def dispersion_table(m: float, eps_min: float, eps_max: float,
         raise ValueError(f"need 0 <= eps_min < eps_max < inf, got [{eps_min}, {eps_max}]")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    return _speed_columns(np.linspace(eps_min, eps_max, steps) + 0.0, m)  # -0.0 -> 0.0
+    with np.errstate(over="ignore"):  # (steps - 1) * step may round past the range,
+        eps = np.linspace(eps_min, eps_max, steps)  # but that last row is set to eps_max
+    return _speed_columns(eps + 0.0, m)  # -0.0 -> 0.0

@@ -223,7 +223,7 @@ def kinematics_checks(seed: int, trials: int, tol: float) -> list[CheckResult]:
     mm = _scaled(u_mm, 0.1, 3.0)
     s1, s2 = kinematics._speed_columns(e1, mm), kinematics._speed_columns(e2, mm)
     speed = [np.maximum(-s1.v, 0.0), np.maximum(s1.v - 1.0, 0.0), np.maximum(1.0 - s1.w, 0.0),
-             np.maximum(-s1.u[s1.has_u], 0.0), np.maximum(s1.u[s1.has_u] - 1.0, 0.0),
+             np.fmax(-s1.u, 0.0), np.fmax(s1.u - 1.0, 0.0),  # fmax: 0 where u is absent (NaN)
              np.maximum(s1.v - s2.v, 0.0),      # v strictly increasing
              np.abs(s1.v * s1.w - 1.0)]
 

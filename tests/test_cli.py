@@ -200,6 +200,16 @@ def test_dispersion_at_the_top_transcendent_point_prints_finite_speeds():
     assert len(lines) == 5001 and lines[-1].split(",")[:2] == ["1e+308", "0"]
 
 
+def test_dispersion_up_to_the_largest_float_prints_without_a_warning():
+    """The grid's last step rounds past the range, but its last row is eps_max."""
+    proc = run_proc("dispersion", "--mass", "1", "--eps-max", "1.7976931348623157e308",
+                    "--steps", "4", env_extra={"PYTHONWARNINGS": "error"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == ("epsilon,u_bradyon,v_pt,w_tachyon\n0,,0,\n"
+                                    "5.99231045e+307,1,1,1\n1.19846209e+308,1,1,1\n"
+                                    "1.79769313e+308,1,1,1\n")
+
+
 # --------------------------------------------------------------------- spinor
 
 def test_spinor_spot(capsys):

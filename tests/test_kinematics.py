@@ -511,7 +511,7 @@ def test_four_vector_rejects_non_finite():
 def test_dispersion_table_row_at_four():
     table = dispersion_table(3.0, 0.0, 10.0, 11)
     assert table.epsilon[4] == 4.0
-    assert table.has_u[4] and table.has_w[4]
+    assert not np.isnan(table.u[4]) and not np.isnan(table.w[4])
     assert abs(table.u[4] - 0.661437828) <= 1e-9
     assert abs(table.v[4] - 0.8) <= 1e-15
     assert abs(table.w[4] - 1.25) <= 1e-15
@@ -520,12 +520,11 @@ def test_dispersion_table_row_at_four():
 def test_dispersion_table_zero_energy_row():
     table = dispersion_table(3.0, 0.0, 10.0, 11)
     assert table.epsilon[0] == 0.0
-    assert not table.has_u[0] and not table.has_w[0]
     assert math.isnan(table.u[0]) and math.isnan(table.w[0])
     assert table.v[0] == 0.0
     # u appears at eps = m = 3, w at the first nonzero energy
-    assert table.has_u.tolist() == [False] * 3 + [True] * 8
-    assert table.has_w.tolist() == [False] + [True] * 10
+    assert np.isnan(table.u).tolist() == [True] * 3 + [False] * 8
+    assert np.isnan(table.w).tolist() == [True] + [False] * 10
 
 
 def test_dispersion_table_newtonian_regime():
@@ -553,9 +552,9 @@ def test_speeds_equal_the_table_columns(eps, m):
     """`speeds` is the column law at one energy, absent entries included."""
     s = speeds(eps, m)
     t = dispersion_table(m, eps, max(2 * eps, 1.0), 2)
-    assert (s.u is None) == (not t.has_u[0]) and (s.w is None) == (not t.has_w[0])
-    assert [s.u, s.v, s.w] == [t.u[0] if t.has_u[0] else None, t.v[0],
-                               t.w[0] if t.has_w[0] else None]
+    assert (s.u is None) == math.isnan(t.u[0]) and (s.w is None) == math.isnan(t.w[0])
+    assert [s.u, s.v, s.w] == [None if math.isnan(t.u[0]) else t.u[0], t.v[0],
+                               None if math.isnan(t.w[0]) else t.w[0]]
     assert math.copysign(1.0, s.v) == 1.0
 
 
@@ -630,6 +629,74 @@ def test_speed_law_names_the_mass_of_the_offending_row():
     eps, m = np.array([1.0, 2.0, 1e-320, 1e-320]), np.array([0.5, 3.0, 7.0, 5.0])
     with pytest.raises(ValueError, match=re.escape("epsilon = 1e-320 (m = 7.0) are out")):
         _speed_columns(eps, m)
+
+
+# 0, subnormals, log-uniform magnitudes from 1e-323 to 1e308 and the largest
+# float: every range where h = hypot(eps, m), eps / h or h / eps could leave
+# the floating-point range
+speed_law_values = st.one_of(st.just(0.0), st.integers(1, 2 ** 52 - 1).map(lambda i: i * 5e-324),
+                             st.floats(min_value=-323.0, max_value=308.0).map(lambda e: 10.0 ** e),
+                             st.just(TOP))
+
+
+@st.composite
+def speed_law_pairs(draw):
+    eps = draw(speed_law_values)
+    return eps, draw(st.one_of(speed_law_values, st.just(eps)))  # equal pairs too
+
+
+def assert_speed_law_rows(eps, m, law):
+    """`law()` gives the columns (u, v, w) at energies eps and masses m, or
+    raises the range error of the first row whose w = hypot(eps, m) / eps is
+    inf; it raises if and only if there is such a row.  Otherwise u and v are
+    finite where present, with 0 <= u <= 1, a present w is finite, and u is
+    NaN exactly where eps < m or eps = 0, w exactly where eps = 0."""
+    rows = list(zip(eps.tolist(), np.broadcast_to(m, eps.shape).tolist()))
+    over = [e > 0.0 and math.hypot(e, mi) / e == math.inf for e, mi in rows]
+    if any(over):
+        e, mi = rows[over.index(True)]
+        with pytest.raises(ValueError) as info:
+            law()
+        assert str(info.value) == (f"dispersion speeds at epsilon = {e!r} (m = {mi!r}) "
+                                   "are out of floating-point range")
+        return
+    for (e, mi), u, v, w in zip(rows, *(np.asarray(c).tolist() for c in law())):
+        assert math.isnan(u) == (e < mi or e == 0.0) and math.isnan(w) == (e == 0.0)
+        assert math.isnan(u) or 0.0 <= u <= 1.0
+        assert math.isfinite(v) and (math.isnan(w) or math.isfinite(w))
+
+
+@pytest.mark.filterwarnings("error")
+@given(pairs=st.lists(speed_law_pairs(), min_size=2, max_size=8), steps=st.integers(2, 5))
+@settings(max_examples=300, deadline=None)
+def test_only_w_can_leave_the_float_range(pairs, steps):
+    """The fact the law's one range test, on w, rests on, through
+    `_speed_columns` with one mass per energy (as verify calls it), `speeds`
+    at each energy, and `dispersion_table` over the drawn energies at the
+    first mass, on per-entry `math.hypot` and on `_hypot`'s array blocks."""
+    eps, m = np.array(pairs).T
+    assert_speed_law_rows(eps, m, lambda: _speed_columns(eps, m)[1:])
+    for e, mi in pairs:
+        assert_speed_law_rows(np.array([e]), mi, lambda: [[math.nan if x is None else x]
+                                                          for x in speeds(e, mi)])
+    lo, hi = eps.min(), eps.max()
+    if lo < hi:
+        with np.errstate(over="ignore"):  # the last step may round past the range
+            grid = np.linspace(lo, hi, steps) + 0.0
+        assert_speed_law_rows(grid, m[0],
+                              lambda: dispersion_table(m[0], lo, hi, steps)[1:])
+    reps = -(-_HYPOT_MIN_SIZE // len(pairs))  # past the per-entry side of `_hypot`
+    assert_speed_law_rows(np.tile(eps, reps), np.tile(m, reps),
+                          lambda: _speed_columns(np.tile(eps, reps), np.tile(m, reps))[1:])
+
+
+@pytest.mark.filterwarnings("error")
+def test_dispersion_table_up_to_the_largest_float_does_not_warn():
+    """(steps - 1) * (eps_max / (steps - 1)) rounds past the range at eps_max =
+    TOP, steps = 4, yet the grid ends at TOP with no RuntimeWarning."""
+    table = dispersion_table(1.0, 0.0, TOP, 4)
+    assert table.epsilon[-1] == TOP and np.isfinite(table.epsilon).all()
+    assert table.w[1:].tolist() == [1.0] * 3
 
 
 def test_dispersion_table_invalid_ranges():
