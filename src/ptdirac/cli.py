@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure (including a non-finite
 residual or any other non-finite number printed), 2 argument or domain error
-(including non-finite numbers, results out of floating-point range, work
-too large to allocate, tables above MAX_STEPS rows and verify runs above
-MAX_TRIALS trials), 3 I/O failure.
+(including non-finite numbers, integer options out of their ranges, which the
+parser refuses before any work, results out of floating-point range and work
+too large to allocate), 3 I/O failure.
 A dispersion table is computed and checked in full before its output is
 opened, then written in chunks of CHUNK_ROWS rows.  Each chunk is formatted in
 one vectorized pass whose bytes are still those of a row-by-row
@@ -46,9 +46,9 @@ DEFAULT_TOL = 1e-12
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 1000
 DEFAULT_PRECISION = 9
-# Most rows one dispersion table may have; checked before the table is built.
+# Most rows one dispersion table may have; the parser refuses more.
 MAX_STEPS = 10_000_000
-# Most trials one verify run may have; checked before any input is drawn.
+# Most trials one verify run may have; the parser refuses more.
 MAX_TRIALS = 100_000
 # Rows of a dispersion table formatted and written at a time.
 CHUNK_ROWS = 4096
@@ -64,10 +64,10 @@ def _fmt(x: float, precision: int) -> str:
 
 
 def _fmt_complex(z: complex, precision: int) -> str:
-    re = _fmt(z.real, precision)
+    real = _fmt(z.real, precision)
     im = _fmt(abs(z.imag), precision)
     sign = "-" if z.imag < 0 else "+"
-    return f"{re}{sign}{im}i"
+    return f"{real}{sign}{im}i"
 
 
 def _finite_float(text: str) -> float:
@@ -88,25 +88,18 @@ def _three_floats(text: str) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # argparse's own message for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _precision(text: str) -> int:
-    value = _int(text)
-    if not 3 <= value <= 17:
-        raise argparse.ArgumentTypeError(f"precision must be in [3, 17], got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+def _int_in(name: str, lo: int, hi: float = math.inf):
+    """An argparse type for an integer in [lo, hi]; its errors name `name`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # argparse's own message for type=int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be in [{lo}, {hi}{')' if hi == math.inf else ']'}, got {value}")
+        return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -145,24 +138,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plane-wave mechanics of spin-1/2 particles with negative "
                     "mass squared, side by side with the ordinary Dirac theory.")
     subs = parser.add_subparsers(dest="command", required=True)
+    precision = _int_in("precision", 3, 17)
 
     disp = subs.add_parser("dispersion", help="emit the energy-speed table as CSV")
     disp.add_argument("--mass", required=True, type=_finite_float)
     disp.add_argument("--eps-min", type=_finite_float, default=0.0)
     disp.add_argument("--eps-max", type=_finite_float, required=True)
-    disp.add_argument("--steps", type=int, required=True,
+    disp.add_argument("--steps", type=_int_in("steps", 2, MAX_STEPS), required=True,
                       help=f"number of rows, 2 to {MAX_STEPS}")
     disp.add_argument("--out", default="-", help="output path, '-' for stdout")
-    disp.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
+    disp.add_argument("--precision", type=precision, default=DEFAULT_PRECISION)
 
     spin = subs.add_parser("spinor", help="print one plane-wave amplitude")
     _add_spec_arguments(spin)
-    spin.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
+    spin.add_argument("--precision", type=precision, default=DEFAULT_PRECISION)
     spin.add_argument("--volume", type=_positive_float, default=1.0)
 
     exp = subs.add_parser("expect", help="print plane-wave expectation values")
     _add_spec_arguments(exp)
-    exp.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
+    exp.add_argument("--precision", type=precision, default=DEFAULT_PRECISION)
 
     tr = subs.add_parser("transform", help="apply a discrete symmetry or a boost")
     _add_spec_arguments(tr)
@@ -170,12 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--rapidity", type=_finite_float, default=None)
     tr.add_argument("--axis", type=_three_floats, default=(0.0, 0.0, 1.0),
                     metavar="NX,NY,NZ")
-    tr.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION)
+    tr.add_argument("--precision", type=precision, default=DEFAULT_PRECISION)
     tr.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
 
     ver = subs.add_parser("verify", help="run every invariant suite")
-    ver.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    ver.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    ver.add_argument("--seed", type=_int_in("seed", 0), default=DEFAULT_SEED)
+    ver.add_argument("--trials", type=_int_in("trials", 1, MAX_TRIALS), default=DEFAULT_TRIALS,
                      help=f"number of trials, 1 to {MAX_TRIALS}")
     ver.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     return parser
@@ -206,8 +200,6 @@ def _write_table(table: DispersionTable, precision: int, out) -> None:
 
 
 def cmd_dispersion(args) -> int:
-    if args.steps > MAX_STEPS:
-        raise ValueError(f"steps must be at most {MAX_STEPS}, got {args.steps}")
     table = dispersion_table(args.mass, args.eps_min, args.eps_max, args.steps)
     if args.out == "-":
         _write_table(table, args.precision, sys.stdout)
@@ -262,8 +254,6 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {args.trials}")
     from . import verify
 
     report = verify.run_all(args.seed, args.trials, args.tol)

@@ -230,13 +230,14 @@ def dual_momentum(p):
     componentwise in the given frame; it is not claimed (nor tested) to
     transform as a four-vector under boosts that are not collinear with p.
     |p| is taken on p scaled exactly by the power of two of its largest
-    component, so it neither overflows at 1e200 nor underflows at 1e-300.
+    component, at most 2^1023, so it neither overflows from 1e200 up to the
+    largest float nor underflows at 1e-300.
     A row whose dual is not finite, from a NaN or infinite component or
     from eps / k past the range, raises a ValueError naming the first one.
     """
     p = np.asarray(p, dtype=float)
     with np.errstate(all="ignore"):  # a non-finite dual is refused below
-        scale = np.ldexp(1.0, np.frexp(np.abs(p[..., 1:]).max(axis=-1))[1])
+        scale = np.ldexp(1.0, np.minimum(np.frexp(np.abs(p[..., 1:]).max(axis=-1))[1], 1023))
         k = _norm(p[..., 1:] / scale[..., None]) * scale
         if np.any(k == 0.0):
             raise ZeroMomentum("dual momentum undefined at |p| = 0")

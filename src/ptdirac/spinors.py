@@ -411,9 +411,11 @@ def proportionality_defect(a: np.ndarray, b: np.ndarray) -> float:
     of the Gram-Schmidt rejection, which does not cancel catastrophically for
     nearly parallel vectors.  Vectors lie along the last axis; stacked
     vectors give one defect per row.  Each vector is first scaled exactly by
-    the power of two of its largest |entry|, so its norm cannot overflow.
+    the power of two of its largest |entry|, at most 2^1023, so its norm
+    cannot overflow for any |entry| up to the largest float.
     """
-    a, b = (x / np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1])
+    a, b = (x / np.ldexp(1.0, np.minimum(np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1],
+                                         1023))
             for x in (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
     na, nb = _norm(a)[..., None], _norm(b)[..., None]
     if not (np.all(na != 0.0) and np.all(nb != 0.0)):

@@ -76,9 +76,6 @@ def test_dispersion_bad_range(capsys):
     code, _, err = run_main(capsys, "dispersion", "--mass", "3", "--eps-min", "5",
                             "--eps-max", "2", "--steps", "4")
     assert code == 2
-    code, _, err = run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10",
-                            "--steps", "1")
-    assert code == 2
 
 
 def reference_csv(m, eps_min, eps_max, steps, precision):
@@ -404,49 +401,56 @@ def test_verify_unattainable_tolerance(capsys):
     assert "FAIL" in out
 
 
-def test_verify_zero_trials(capsys):
-    code, _, err = run_main(capsys, "verify", "--trials", "0")
-    assert code == 2
-
-
-def test_verify_trials_cap_checked_before_any_draw(capsys, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("verify ran")
-
-    monkeypatch.setattr("ptdirac.verify.run_all", unreachable)
-    code, out, err = run_main(capsys, "verify", "--trials", "100000000000")
-    assert (code, out) == (2, "")
-    assert err == f"error: trials must be at most {cli.MAX_TRIALS}, got 100000000000\n"
-
-
-def test_verify_negative_seed_is_usage_error(capsys, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("verify ran")
-
-    monkeypatch.setattr("ptdirac.verify.run_all", unreachable)
-    with pytest.raises(SystemExit) as exc:
-        run_main(capsys, "verify", "--seed", "-1")
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith(
-        "ptdirac verify: error: argument --seed: expected a non-negative integer, got -1\n")
-
-
 @pytest.mark.parametrize("flag, value, message", [
     ("--precision", "abc", "invalid int value: 'abc'"),
     ("--precision", "2", "precision must be in [3, 17], got 2"),
+    ("--precision", "18", "precision must be in [3, 17], got 18"),
+    ("--steps", "1", f"steps must be in [2, {cli.MAX_STEPS}], got 1"),
+    ("--steps", "-3", f"steps must be in [2, {cli.MAX_STEPS}], got -3"),
+    ("--steps", str(cli.MAX_STEPS + 1),
+     f"steps must be in [2, {cli.MAX_STEPS}], got {cli.MAX_STEPS + 1}"),
+    ("--steps", "1.5", "invalid int value: '1.5'"),
     ("--seed", "abc", "invalid int value: 'abc'"),
+    ("--seed", "-1", "seed must be in [0, inf), got -1"),
+    ("--trials", "0", f"trials must be in [1, {cli.MAX_TRIALS}], got 0"),
+    ("--trials", "100000000000", f"trials must be in [1, {cli.MAX_TRIALS}], got 100000000000"),
+    ("--trials", "1e3", "invalid int value: '1e3'"),
 ])
-def test_integer_option_errors_read_as_argparse_ones(capsys, flag, value, message):
-    argv = (["dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11"]
-            if flag == "--precision" else ["verify"])
+def test_integer_option_errors_read_as_argparse_ones(capsys, monkeypatch, tmp_path,
+                                                     flag, value, message):
+    """A bad integer option is a parser error: exit 2, nothing built, drawn or
+    opened, and nothing on stdout."""
+    def unreachable(*args):
+        raise AssertionError("work started before the usage error")
+
+    monkeypatch.setattr(cli, "dispersion_table", unreachable)
+    monkeypatch.setattr("ptdirac.verify.run_all", unreachable)
+    target = tmp_path / "table.csv"
+    argv = (["dispersion", "--mass", "3", "--eps-max", "10", "--steps", "11",
+             "--out", str(target)] if flag in ("--precision", "--steps") else ["verify"])
     with pytest.raises(SystemExit) as exc:
         run_main(capsys, *argv, flag, value)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"ptdirac {argv[0]}: error: argument {flag}: {message}\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["dispersion", "--mass", "0", "--eps-max", "1", "--steps", "2", "--precision", "3"],
+     "precision", 3),
+    (["dispersion", "--mass", "0", "--eps-max", "1", "--steps", "2", "--precision", "17"],
+     "precision", 17),
+    (["dispersion", "--mass", "0", "--eps-max", "1", "--steps", "2"], "steps", 2),
+    (["dispersion", "--mass", "0", "--eps-max", "1", "--steps", str(cli.MAX_STEPS)],
+     "steps", cli.MAX_STEPS),
+    (["verify", "--seed", "0"], "seed", 0),
+    (["verify", "--trials", "1"], "trials", 1),
+    (["verify", "--trials", str(cli.MAX_TRIALS)], "trials", cli.MAX_TRIALS),
+])
+def test_integer_option_ranges_include_their_ends(argv, name, value):
+    assert getattr(cli.build_parser().parse_args(argv), name) == value
 
 
 def test_parser_is_built_once():
@@ -592,17 +596,6 @@ def test_overflowing_boosted_momentum_is_usage_error(capsys):
                     "--species", "pt", "--momentum", "0,0,1e175", "--mass", "1e175") == (
         2, "", "error: boost out of floating-point range: the four-momentum boosted by "
                "rapidity 400.0 overflows\n")
-
-
-def test_dispersion_steps_cap_checked_before_the_table(capsys, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("the table was built")
-
-    monkeypatch.setattr(cli, "dispersion_table", unreachable)
-    code, _, err = run_main(capsys, "dispersion", "--mass", "3", "--eps-max", "10",
-                            "--steps", str(cli.MAX_STEPS + 1))
-    assert code == 2
-    assert f"at most {cli.MAX_STEPS}" in err
 
 
 def test_dispersion_memory_error_is_usage_error(capsys, monkeypatch):

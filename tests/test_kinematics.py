@@ -110,6 +110,19 @@ def test_dual_momentum_at_extreme_scales(scale):
         assert np.allclose(d / scale, [[1.0, 0.0, 1.2, 1.6]], rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row, dual", [
+    ((1e308, 1e308, 0.0, 0.0), [1e308, 1e308, 0.0, 0.0]),
+    ((1e300, 1e308, 0.0, 0.0), [1e308, 1e300, 0.0, 0.0]),
+    ((sys.float_info.max, sys.float_info.max, 0.0, 0.0),
+     [sys.float_info.max, sys.float_info.max, 0.0, 0.0]),
+])
+def test_dual_momentum_up_to_the_largest_float(row, dual):
+    """A component from 2^1023 up has the frexp exponent 1024, whose power of
+    two is inf; the scale stops at 2^1023, so a representable dual is returned."""
+    assert dual_momentum(np.array(row)).tolist() == dual
+
+
 def test_dual_momentum_identities_random(rng):
     for _ in range(1000):
         m = rng.uniform(0.2, 3.0)
@@ -666,7 +679,9 @@ def assert_speed_law_rows(eps, m, law):
         assert math.isfinite(v) and (math.isnan(w) or math.isfinite(w))
 
 
-@pytest.mark.filterwarnings("error")
+# the second filter lets hypothesis's report hook print a falsifying example
+@pytest.mark.filterwarnings("error",
+                            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @given(pairs=st.lists(speed_law_pairs(), min_size=2, max_size=8), steps=st.integers(2, 5))
 @settings(max_examples=300, deadline=None)
 def test_only_w_can_leave_the_float_range(pairs, steps):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -550,6 +551,17 @@ def test_subnormal_row_is_computed_at_a_normal_scale(species):
                                                    [normal_p, normal_p], [normal_m] * 2, [0, 1]))
     assert w[1].tobytes() == alone[1].tobytes()
     assert np.array_equal(w[0], alone[0] * 2.0 ** -535)
+
+
+@pytest.mark.filterwarnings("error")
+def test_proportionality_defect_up_to_the_largest_float():
+    """An |entry| from 2^1023 up has the frexp exponent 1024, whose power of
+    two is inf; the scale stops at 2^1023, so the norms stay finite."""
+    a = np.array([1e308, 0.0, 0.0, 0.0])
+    assert proportionality_defect(a, a) == 0.0
+    assert proportionality_defect(a, np.array([0.0, 1e308, 0.0, 0.0])) == 1.0
+    top = np.array([sys.float_info.max, 0.0, 0.0, 0.0])
+    assert proportionality_defect(top, -top) == 0.0
 
 
 def test_proportionality_defect_of_a_zero_vector_is_an_error():
